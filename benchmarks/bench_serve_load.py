@@ -2,8 +2,8 @@
 
 The server exists so that *serving* a query costs evaluation only: the
 ``(FrozenGraph, DistanceOracle, version)`` epoch is built once per publish
-and shared by every in-flight request, the executor pool is warmed at
-startup, and writers publish new epochs without blocking readers.  Three
+and shared by every in-flight request, and writers publish new epochs
+without blocking readers.  Three
 claims over a twitter-like graph (``REPRO_E18_NODES`` nodes, default
 50 000; CI smoke shrinks it via the environment):
 

@@ -17,8 +17,8 @@ context path and the ``workers=N`` parallel path:
   anything and every match must be fully scored.  This is the worst case
   for laziness, and an honest stress for fan-out: per-match Dijkstras over
   5-node components are so cheap that per-call pool forks and shipping
-  5000 ``RankedMatch`` results back dominate (the same Amdahl shape as
-  E12's sharded-query case), so on >= 4 cores the assertion is a
+  5000 ``RankedMatch`` results back dominate (Amdahl: the serial
+  selection and the pool fork stay), so on >= 4 cores the assertion is a
   catastrophic-regression floor (>= 0.5x vs. naive, measured number always
   printed), and on smaller hosts it is skipped with the measured number.
   Fan-out is timed ranking-only (same pre-built result graph as the other
@@ -138,13 +138,13 @@ def test_bulk_ranking_vs_naive(workload, summary):
     bulk = bulk_top_k_detail(context, K)
     t_bulk = time.perf_counter() - start
 
-    with ParallelExecutor(WORKERS) as executor:
-        start = time.perf_counter()
-        parallel_context = RankingContext(result_graph)
-        parallel = bulk_top_k_detail(
-            parallel_context, K, score_many=executor.rank_many
-        )
-        t_parallel = time.perf_counter() - start
+    executor = ParallelExecutor(WORKERS)
+    start = time.perf_counter()
+    parallel_context = RankingContext(result_graph)
+    parallel = bulk_top_k_detail(
+        parallel_context, K, score_many=executor.rank_many
+    )
+    t_parallel = time.perf_counter() - start
 
     # Identity first — order, ranks and evidence, on every host.
     assert bulk == naive, f"[{name}] bulk top-K diverged from naive"
@@ -182,7 +182,7 @@ def test_bulk_ranking_vs_naive(workload, summary):
     else:
         # Nothing is prunable and per-match scoring is tiny, so pool forks
         # and result shipping dominate — assert only the catastrophic-
-        # regression floor where cores exist (E12's sharded-case policy);
+        # regression floor where cores exist;
         # identity above is the real always-on guarantee.
         if CORES < WORKERS:
             pytest.skip(

@@ -80,7 +80,7 @@ def tracked_receivers(
     ``self.X`` attributes assigned from a constructor call — either
     ``Cls(...)``, a classmethod on the class (``Cls.anything(...)``), or a
     factory method listed in ``factory_attrs`` on any receiver
-    (``frozen.induced(...)``).  File-wide on purpose: re-using a tracked
+    (``frozen.without_attrs()``).  File-wide on purpose: re-using a tracked
     name for an unrelated object in the same file is itself confusing
     enough to deserve the finding.
     """
@@ -101,7 +101,7 @@ def tracked_receivers(
             if isinstance(root, ast.Name) and root.id in constructors:
                 constructed = True  # Cls.freeze(...), Cls.from_buffers(...)
             elif func.attr in factory_attrs:
-                constructed = True  # receiver.induced(...), .without_attrs()
+                constructed = True  # receiver.without_attrs()
         if not constructed:
             continue
         for target in assign_targets(node):

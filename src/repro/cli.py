@@ -87,9 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--pattern", required=True)
     query.add_argument("--explain", action="store_true", help="print the plan")
     query.add_argument("--result-graph", action="store_true", help="print witness edges")
-    query.add_argument("--workers", type=int, default=1,
-                       help="evaluate with N worker processes "
-                            "(ball-sharded; default 1 = sequential)")
     query.add_argument("--oracle", action="store_true",
                        help="build a landmark distance oracle first and let "
                             "the planner route selective pattern edges to "
@@ -149,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--metric", choices=sorted(METRICS), default="social-impact")
     topk.add_argument("--dot", default=None, help="write a DOT file highlighting the top-1")
     topk.add_argument("--workers", type=int, default=1,
-                      help="evaluate and score with N worker processes "
+                      help="score matches with N worker processes "
                            "(default 1 = sequential)")
     _add_budget_flags(topk)
     topk.set_defaults(handler=_cmd_topk)
@@ -226,9 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="[NAME=]FILE",
                        help="register a graph JSON file at startup "
                             "(default name: the file's stem); repeatable")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="warm a persistent N-process evaluation pool at "
-                            "startup (default 1 = inline evaluation)")
     serve.add_argument("--max-inflight", type=int, default=8,
                        help="admission control: concurrent request cap")
     serve.add_argument("--queue-depth", type=int, default=16,
@@ -423,19 +417,13 @@ def _check_workers(workers: int) -> int:
         raise CliError(f"--workers: {exc}") from None
 
 
-def _evaluate(graph: Graph, pattern: Pattern, workers: int = 1):
-    if workers > 1:
-        from repro.engine.parallel import ParallelExecutor
-
-        with ParallelExecutor(workers) as executor:
-            return executor.match(graph, pattern)
+def _evaluate(graph: Graph, pattern: Pattern):
     if pattern.is_simulation_pattern:
         return match_simulation(graph, pattern)
     return match_bounded(graph, pattern)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    workers = _check_workers(args.workers)
     budget = _parse_budget(args)
     graph, pattern = _load_inputs(args)
     if args.oracle or budget is not None:
@@ -448,26 +436,23 @@ def _cmd_query(args: argparse.Namespace) -> int:
         engine.register_graph("cli", graph)
         if args.oracle:
             engine.enable_oracle("cli", cap=args.oracle_cap)
-        try:
-            if args.explain:
-                print(engine.explain("cli", pattern, budget=budget).explain())
-                print()
-            result = engine.evaluate("cli", pattern, workers=workers, budget=budget)
-            if args.explain and "kernels" in result.stats:
-                kernels = ", ".join(
-                    f"{edge}: {kernel}"
-                    for edge, kernel in sorted(result.stats["kernels"].items())
-                )
-                print(f"kernels used: {kernels}")
-                print()
-        finally:
-            engine.close()
+        if args.explain:
+            print(engine.explain("cli", pattern, budget=budget).explain())
+            print()
+        result = engine.evaluate("cli", pattern, budget=budget)
+        if args.explain and "kernels" in result.stats:
+            kernels = ", ".join(
+                f"{edge}: {kernel}"
+                for edge, kernel in sorted(result.stats["kernels"].items())
+            )
+            print(f"kernels used: {kernels}")
+            print()
         _report_partial(result.stats)
     else:
         if args.explain:
             print(make_plan(pattern).explain())
             print()
-        result = _evaluate(graph, pattern, workers=workers)
+        result = _evaluate(graph, pattern)
     print(views.relation_summary(result.relation))
     if args.result_graph and result.is_match:
         print()
@@ -551,27 +536,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     engine = QueryEngine()
     engine.register_graph("cli", graph)
     engine.enable_oracle("cli", cap=args.cap, top=args.top)
-    try:
-        stats = engine.warm_oracle("cli", workers=workers)
-        cap = "unbounded ('*' covered)" if stats["cap"] is None else stats["cap"]
-        print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges")
-        print(f"exact-distance cap: {cap}")
-        print(f"build: {stats['build_seconds']:.3f}s "
-              f"(sequential landmark prefix: {stats['top']})")
-        print(
-            f"labels: {stats['label_entries_out']} forward + "
-            f"{stats['label_entries_in']} reverse entries "
-            f"(avg {stats['avg_out_label']:.1f} / {stats['avg_in_label']:.1f} "
-            "per node)"
-        )
-        print(f"reachability closure: {stats['reach_entries']} hub entries")
-        if args.pattern is not None:
-            pattern = _resolve_pattern(args.pattern)
-            print()
-            print(engine.explain("cli", pattern).explain())
-        return 0
-    finally:
-        engine.close()
+    stats = engine.warm_oracle("cli", workers=workers)
+    cap = "unbounded ('*' covered)" if stats["cap"] is None else stats["cap"]
+    print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges")
+    print(f"exact-distance cap: {cap}")
+    print(f"build: {stats['build_seconds']:.3f}s "
+          f"(sequential landmark prefix: {stats['top']})")
+    print(
+        f"labels: {stats['label_entries_out']} forward + "
+        f"{stats['label_entries_in']} reverse entries "
+        f"(avg {stats['avg_out_label']:.1f} / {stats['avg_in_label']:.1f} "
+        "per node)"
+    )
+    print(f"reachability closure: {stats['reach_entries']} hub entries")
+    if args.pattern is not None:
+        pattern = _resolve_pattern(args.pattern)
+        print()
+        print(engine.explain("cli", pattern).explain())
+    return 0
 
 
 def _cmd_snapshot_save(args: argparse.Namespace) -> int:
@@ -590,25 +572,22 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     name = args.name if args.name is not None else Path(args.graph).stem
     engine = QueryEngine(store=GraphStore(args.store))
     engine.register_graph(name, graph)
-    try:
-        engine.persist_graph(name)
-        if args.oracle:
-            engine.enable_oracle(name, cap=args.oracle_cap)
-        paths = engine.persist_snapshot(
-            name, include_oracle=args.oracle, workers=workers
-        )
-        print(
-            f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges "
-            f"(version {graph.version})"
-        )
-        snapshot_path = paths["snapshot"]
-        print(f"snapshot: {snapshot_path} ({snapshot_path.stat().st_size} bytes)")
-        if args.oracle:
-            oracle_path = paths["oracle"]
-            print(f"oracle: {oracle_path} ({oracle_path.stat().st_size} bytes)")
-        return 0
-    finally:
-        engine.close()
+    engine.persist_graph(name)
+    if args.oracle:
+        engine.enable_oracle(name, cap=args.oracle_cap)
+    paths = engine.persist_snapshot(
+        name, include_oracle=args.oracle, workers=workers
+    )
+    print(
+        f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges "
+        f"(version {graph.version})"
+    )
+    snapshot_path = paths["snapshot"]
+    print(f"snapshot: {snapshot_path} ({snapshot_path.stat().st_size} bytes)")
+    if args.oracle:
+        oracle_path = paths["oracle"]
+        print(f"oracle: {oracle_path} ({oracle_path.stat().st_size} bytes)")
+    return 0
 
 
 def _cmd_snapshot_load(args: argparse.Namespace) -> int:
@@ -667,7 +646,7 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     Routing through :class:`QueryEngine` gives `topk` everything the other
     subcommands already had: plan-based route selection, the attribute
     index, the query and ranked-result caches, and `--workers` fan-out for
-    both evaluation and per-match scoring.
+    per-match scoring.
     """
     from repro.engine.engine import QueryEngine
 
@@ -677,36 +656,33 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     pattern.validate(require_output=True)
     engine = QueryEngine()
     engine.register_graph("cli", graph)
-    try:
-        ranked = engine.top_k(
-            "cli", pattern, args.k, metric=args.metric, workers=workers,
-            budget=budget,
-        )
-        # M(Q,G) is total-or-empty: no ranked experts means no match at all.
-        if not ranked:
-            print("no match")
-            return 1
-        if args.metric == "social-impact":
-            print(views.render_ranking(ranked))
-            top = ranked[0].node
-        else:
-            print(views.render_table(("#", "expert", args.metric),
-                                     [(i + 1, n, f"{s:.4f}")
-                                      for i, (n, s) in enumerate(ranked)]))
-            top = ranked[0][0]
-        if args.dot is not None:
-            # The evaluation is already cached (and the ranking context
-            # snapshotted), so deriving the result graph here is cheap —
-            # unless the result was partial (never cached), in which case
-            # the same budget keeps the re-derivation guarded too.
-            result = engine.evaluate("cli", pattern, budget=budget)
-            _report_partial(result.stats)
-            result_graph = result.result_graph()
-            Path(args.dot).write_text(result_to_dot(result_graph, highlight=top))
-            print(f"wrote {args.dot}")
-        return 0
-    finally:
-        engine.close()
+    ranked = engine.top_k(
+        "cli", pattern, args.k, metric=args.metric, workers=workers,
+        budget=budget,
+    )
+    # M(Q,G) is total-or-empty: no ranked experts means no match at all.
+    if not ranked:
+        print("no match")
+        return 1
+    if args.metric == "social-impact":
+        print(views.render_ranking(ranked))
+        top = ranked[0].node
+    else:
+        print(views.render_table(("#", "expert", args.metric),
+                                 [(i + 1, n, f"{s:.4f}")
+                                  for i, (n, s) in enumerate(ranked)]))
+        top = ranked[0][0]
+    if args.dot is not None:
+        # The evaluation is already cached (and the ranking context
+        # snapshotted), so deriving the result graph here is cheap —
+        # unless the result was partial (never cached), in which case
+        # the same budget keeps the re-derivation guarded too.
+        result = engine.evaluate("cli", pattern, budget=budget)
+        _report_partial(result.stats)
+        result_graph = result.result_graph()
+        Path(args.dot).write_text(result_to_dot(result_graph, highlight=top))
+        print(f"wrote {args.dot}")
+    return 0
 
 
 def _parse_edge(spec: str) -> tuple[str, str]:
@@ -809,7 +785,6 @@ def _serve_config(args: argparse.Namespace):
     from repro.errors import EvaluationError, ServerError
     from repro.server import ServiceConfig
 
-    _check_workers(args.workers)
     default_budget = None
     if args.default_budget is not None or args.default_time_limit is not None:
         default_budget = QueryBudget(
@@ -825,7 +800,6 @@ def _serve_config(args: argparse.Namespace):
             ) from None
     try:
         return ServiceConfig(
-            workers=args.workers,
             max_inflight=args.max_inflight,
             max_queue=args.queue_depth,
             queue_timeout=args.admission_timeout,
@@ -949,13 +923,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     store = GraphStore(args.store) if args.store is not None else None
     engine = QueryEngine(store=store)
     engine.register_graph(name, graph)
-    try:
-        if args.pattern is not None:
-            engine.evaluate(name, _resolve_pattern(args.pattern))
-        print(json.dumps(engine.stats(), indent=2, sort_keys=True))
-        return 0
-    finally:
-        engine.close()
+    if args.pattern is not None:
+        engine.evaluate(name, _resolve_pattern(args.pattern))
+    print(json.dumps(engine.stats(), indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

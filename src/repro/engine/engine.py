@@ -115,30 +115,20 @@ class QueryEngine:
         # its validity is tied to Graph.version rather than LRU pressure.
         self._rank_cache = RankCache(capacity=rank_cache_capacity)
         # Frozen CSR snapshots, one per graph, built on the first direct
-        # evaluation and reused by every traversal kernel (matchers, ball
-        # decomposition, shard shipping) until the graph's version moves.
+        # evaluation and reused by every traversal kernel (matchers, batch
+        # workers) until the graph's version moves.
         self._snapshots = SnapshotCache(capacity=snapshot_cache_capacity, store=store)
         # Distance oracles (landmark labels over the snapshots), for graphs
         # with the oracle enabled; they survive distance-preserving update
         # batches and are rebuilt lazily after structural ones.
         self._oracles = OracleCache(capacity=oracle_cache_capacity, store=store)
-        # One executor per worker count, alive across calls (released by
-        # close()).  Pool reuse only helps the ball-subgraph sharded path;
-        # the shared-graph and batch-farming paths fork a fresh pool per
-        # call by design (children must snapshot the graph at fork time).
-        self._executors: dict[int, ParallelExecutor] = {}
-
-    def _executor(self, workers: int) -> ParallelExecutor:
-        executor = self._executors.get(workers)
-        if executor is None:
-            executor = self._executors[workers] = ParallelExecutor(workers)
-        return executor
 
     def close(self) -> None:
-        """Release the engine's worker pools (idempotent; engine reusable)."""
-        for executor in self._executors.values():
-            executor.close()
-        self._executors.clear()
+        """End of the engine's lifetime (idempotent; the engine stays usable).
+
+        There is nothing to release: every worker pool lives only for the
+        batch, ranking or oracle-build call that forks it.
+        """
 
     # ------------------------------------------------------------------
     # graph management
@@ -313,7 +303,7 @@ class QueryEngine:
         if oracle is None:
             frozen = self._frozen_snapshot(entry)
             if workers > 1:
-                oracle = self._executor(workers).build_oracle(
+                oracle = ParallelExecutor(workers).build_oracle(
                     frozen,
                     cap=entry.oracle_config["cap"],
                     top=entry.oracle_config["top"],
@@ -377,14 +367,9 @@ class QueryEngine:
         )
         if plan.route == ROUTE_DIRECT:
             if not self._snapshot_serves(entry, plan):
-                # The reach index serves the sequential bounded matcher's
-                # BFS runs, so no snapshot is involved there.  (Sharded
-                # evaluation with workers > 1 still snapshots — workers
-                # have no reach index.)
-                note = (
-                    "frozen snapshot: bypassed sequentially (reach index "
-                    "serves bounded BFS; workers > 1 still snapshot)"
-                )
+                # The reach index serves the bounded matcher's BFS runs,
+                # so no snapshot is involved there.
+                note = "frozen snapshot: bypassed (reach index serves bounded BFS)"
             else:
                 snapshot = self._snapshots.peek(name)  # repro-lint: disable=cache-version-guard -- explain() must not drop or fault in snapshots; version is compared explicitly below
                 if (
@@ -499,8 +484,8 @@ class QueryEngine:
         BFS runs from that cache and ignores a snapshot, so freezing one
         would be pure waste.  An enabled distance oracle outranks the
         reach index — its labels live on the snapshot's ids, so the frozen
-        kernels (with oracle routing) run instead.  (Sharded ``workers >
-        1`` evaluation always snapshots — worker processes have no reach
+        kernels (with oracle routing) run instead.  (Batch farming with
+        ``workers > 1`` always snapshots — worker processes have no reach
         index.)
         """
         return (
@@ -571,30 +556,20 @@ class QueryEngine:
         use_cache: bool = True,
         use_compression: bool = True,
         cache_result: bool = True,
-        workers: int | None = None,
         budget: QueryBudget | None = None,
     ) -> MatchResult:
         """Evaluate a pattern query following the §II route order.
 
-        ``workers`` > 1 evaluates the *direct* route with sharded
-        parallelism (:class:`~repro.engine.parallel.ParallelExecutor`):
-        the graph is decomposed into distance-bounded balls and the
-        successor-row work fans out to a worker pool, producing exactly
-        the sequential relation.  Cache and compressed routes are already
-        cheap and stay sequential.
-
         A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
         direct bounded evaluation — the one route/algorithm combination
         that can run away (cache and compressed routes are cheap by
-        construction; the quadratic simulation matcher is not guarded, so
-        sequential and parallel runs agree on the partial flag).  A blown
-        budget raises :class:`~repro.errors.BudgetExceededError`, or with
-        ``allow_partial=True`` returns a sound subset of the exact answer
-        flagged ``stats["partial"] = True``.  Partial results are never
-        cached.
+        construction; the quadratic simulation matcher is not guarded).  A
+        blown budget raises :class:`~repro.errors.BudgetExceededError`, or
+        with ``allow_partial=True`` returns a sound subset of the exact
+        answer flagged ``stats["partial"] = True``.  Partial results are
+        never cached.
         """
         pattern.validate()
-        workers = validate_workers(workers)
         if budget is not None:
             budget.validate()
         entry = self._entry(name)
@@ -613,33 +588,21 @@ class QueryEngine:
             use_compression=use_compression,
         )
 
-        bounded_direct = (
-            plan.route == ROUTE_DIRECT and plan.algorithm != ALGORITHM_SIMULATION
+        result = self._dispatch_route(
+            entry,
+            pattern,
+            plan,
+            cached_relation=(
+                cached_entry.relation if cached_entry is not None else None
+            ),
+            compressed=compressed,
+            budget=(
+                budget
+                if plan.route == ROUTE_DIRECT
+                and plan.algorithm != ALGORITHM_SIMULATION
+                else None
+            ),
         )
-        if workers > 1 and plan.route == ROUTE_DIRECT:
-            result = self._executor(workers).match(
-                entry.graph,
-                pattern,
-                index=entry.attr_index,
-                frozen=self._frozen_snapshot(entry),
-                oracle=(
-                    self._oracle_for(entry, workers=workers)
-                    if plan.algorithm != ALGORITHM_SIMULATION
-                    else None
-                ),
-                budget=budget if bounded_direct else None,
-            )
-        else:
-            result = self._dispatch_route(
-                entry,
-                pattern,
-                plan,
-                cached_relation=(
-                    cached_entry.relation if cached_entry is not None else None
-                ),
-                compressed=compressed,
-                budget=budget if bounded_direct else None,
-            )
 
         self._stamp_stats(result, plan.route, plan, name, entry, watch.seconds())
         # A partial result is an artefact of this call's budget, not the
@@ -681,12 +644,11 @@ class QueryEngine:
 
         ``workers`` > 1 parallelises the batch: each distinct direct-route
         query becomes one worker-pool task (with its shared candidate
-        sets precomputed here), so many small queries run concurrently.
-        A single-query batch instead delegates to :meth:`evaluate`'s
-        *per-query* sharded parallelism — one big query is split across
-        workers rather than occupying one.  Farmed results carry no
-        refinement state (relations cross a process boundary); deriving a
-        result graph from them recomputes witnesses on demand.
+        sets precomputed here), so many small queries run concurrently;
+        a batch with one direct-route query runs it inline.  Farmed
+        results carry no refinement state (relations cross a process
+        boundary); deriving a result graph from them recomputes witnesses
+        on demand.
 
         >>> from repro.datasets.paper_example import paper_graph, paper_pattern
         >>> engine = QueryEngine()
@@ -702,37 +664,6 @@ class QueryEngine:
         workers = validate_workers(workers)
         if budget is not None:
             budget.validate()
-        if workers > 1 and len(patterns) == 1:
-            result = self.evaluate(
-                name,
-                patterns[0],
-                use_cache=use_cache,
-                use_compression=use_compression,
-                cache_result=cache_result,
-                workers=workers,
-                budget=budget,
-            )
-            # Preserve evaluate_many's contract: every result carries batch
-            # stats (the CLI and callers read them unconditionally).  Like
-            # the multi-query path, distinct predicates are counted only
-            # when the query actually went the direct route (0 on a cache
-            # or compressed hit).
-            result.stats["batch"] = {
-                "size": 1,
-                "distinct_predicates": (
-                    len(
-                        {
-                            predicate_key(patterns[0].predicate(u))
-                            for u in patterns[0].nodes()
-                        }
-                    )
-                    if result.stats["route"] == ROUTE_DIRECT
-                    else 0
-                ),
-                "workers": workers,
-                "seconds_total": result.stats["seconds"],
-            }
-            return [result]
         watch = Stopwatch()
         available = entry.compressed()
         compressed = available if use_compression else None
@@ -795,22 +726,26 @@ class QueryEngine:
                             },
                         )
                     )
-            bounded_tasks = any(
-                not task_pattern.is_simulation_pattern for task_pattern, _keys in tasks
-            )
-            outcomes = self._executor(workers).match_many(
-                entry.graph,
-                tasks,
-                shared,
-                frozen=self._frozen_snapshot(entry) if tasks else None,
-                oracle=(
-                    self._oracle_for(entry, workers=workers)
-                    if tasks and bounded_tasks
-                    else None
-                ),
-                budget=budget,
-            )
-            farmed = dict(zip(task_keys, outcomes))
+            # A lone direct-route query runs inline below, like a sequential
+            # batch: it keeps its refinement state and the reach index.
+            if len(tasks) > 1:
+                bounded_tasks = any(
+                    not task_pattern.is_simulation_pattern
+                    for task_pattern, _keys in tasks
+                )
+                outcomes = ParallelExecutor(workers).match_many(
+                    entry.graph,
+                    tasks,
+                    shared,
+                    frozen=self._frozen_snapshot(entry),
+                    oracle=(
+                        self._oracle_for(entry, workers=workers)
+                        if bounded_tasks
+                        else None
+                    ),
+                    budget=budget,
+                )
+                farmed = dict(zip(task_keys, outcomes))
 
         results: list[MatchResult] = []
         fresh: dict[tuple, MatchRelation] = {}
@@ -983,12 +918,9 @@ class QueryEngine:
         chosen = get_metric(metric) if isinstance(metric, str) else metric
         workers = validate_workers(workers)
         context = self._ranking_context(
-            name, pattern, workers=workers, use_rank_cache=use_rank_cache,
-            **evaluate_kwargs,
+            name, pattern, use_rank_cache=use_rank_cache, **evaluate_kwargs
         )
-        score_many = (
-            self._executor(workers).rank_many if workers > 1 else None
-        )
+        score_many = ParallelExecutor(workers).rank_many if workers > 1 else None
         if isinstance(metric, str) and metric == "social-impact":
             return bulk_top_k_detail(context, k, score_many=score_many)
         return bulk_top_k_scores(context, k, chosen, score_many=score_many)
@@ -997,7 +929,6 @@ class QueryEngine:
         self,
         name: str,
         pattern: Pattern,
-        workers: int = 1,
         use_rank_cache: bool = True,
         **evaluate_kwargs: Any,
     ) -> RankingContext:
@@ -1008,7 +939,7 @@ class QueryEngine:
             cached = self._rank_cache.get(key, entry.graph.version)
             if cached is not None:
                 return cached.context
-        result = self.evaluate(name, pattern, workers=workers, **evaluate_kwargs)
+        result = self.evaluate(name, pattern, **evaluate_kwargs)
         context = RankingContext(result.result_graph())
         # A guarded evaluation that tripped produced a partial relation;
         # rankings over it are valid for this call but must not be served
@@ -1208,17 +1139,6 @@ class QueryEngine:
             "snapshots": self._snapshots.stats(),
             "oracles": self._oracles.stats(),
         }
-
-    def warm_pool(self, workers: int | None) -> None:
-        """Pre-build the persistent worker pool for ``workers`` (> 1).
-
-        Long-running callers (the query service) invoke this at startup so
-        pool construction happens once, off the request path; with one
-        worker evaluation runs inline and there is nothing to warm.
-        """
-        count = validate_workers(workers)
-        if count > 1:
-            self._executor(count).warm()
 
     def persist_graph(self, name: str) -> None:
         """Write a registered graph to the file store."""

@@ -1,85 +1,44 @@
-"""Parallel sharded evaluation — ball partitioning plus a worker pool.
+"""Process-pool parallelism: batch farming, bulk ranking, oracle builds.
 
-Bounded simulation splits into two phases with very different shapes:
+:class:`ParallelExecutor` fans three kinds of independent work out to a
+:mod:`multiprocessing` pool, each with output byte-identical to the
+sequential path:
 
-1. **successor-row construction** — one truncated reachability search per
-   candidate of every pattern node with out-edges.  This dominates
-   evaluation cost and is embarrassingly parallel once the graph is
-   decomposed into distance-bounded balls (:mod:`repro.graph.partition`):
-   a worker holding the ball around its pivots computes exactly the rows
-   the sequential matcher would, because each pivot's full
-   radius-``depth`` ball is inside the shard.  Workers traverse
-   :class:`~repro.graph.frozen.FrozenGraph` snapshots — shards ship as
-   flat CSR buffers (or share the one full snapshot), never as pickled
-   dict graphs — through the very same
-   :func:`~repro.matching.bounded.frozen_successor_rows` kernel the
-   sequential matcher uses.
-2. **removal fixpoint** — a worklist cascade over the merged rows.  Pattern
-   cycles and ``*`` bounds make refutations propagate arbitrarily far, so
-   this phase is *not* ball-local; running it once over the merged state
-   (:meth:`~repro.matching.bounded.BoundedState.from_successor_rows`) is
-   the boundary refinement that makes the parallel result equal the
-   sequential one exactly.  ``tests/test_differential.py`` asserts that
-   equality over hundreds of seeded random graphs and patterns.
-
-:class:`ParallelExecutor` fans both workloads out to a
-:mod:`multiprocessing` pool:
-
-* :meth:`ParallelExecutor.match` — *per-query* parallelism: shard one big
-  query's successor-row work across workers, merge, refine.
 * :meth:`ParallelExecutor.match_many` — *per-batch* parallelism: farm whole
   (pattern, candidates) tasks out, one query per worker at a time, with
-  the data graph shipped once per worker via the pool initializer.
+  the data graph, its frozen snapshot and the shared candidate table
+  shipped once per worker (fork inheritance or pool initializer).
+  ``tests/test_differential.py`` asserts farmed ≡ sequential over hundreds
+  of seeded random graphs and patterns.
+* :meth:`ParallelExecutor.rank_many` — per-match social-impact scoring of
+  a top-K request, chunked over workers.
+* :meth:`ParallelExecutor.build_oracle` — the independent phase-two
+  landmark chunks of a distance-oracle build.
 
-Simulation patterns (every bound 1) ride the same sharded machinery: with
-all bounds 1, bounded simulation's fixpoint coincides with plain
-simulation's, so the merged relation equals ``match_simulation``'s (also
-asserted by the differential harness).
+A single query always runs in the calling process: the matcher's removal
+fixpoint is global, and splitting one query's successor-row work across
+processes never beat the sequential frozen kernels in measurement.
 
-Workers are separate processes; a speedup needs actual spare cores.  On a
-single-core host the sharded path still produces identical results, just
-with fork/pickle overhead on top — ``benchmarks/bench_parallel_eval.py``
-measures both situations honestly.
+Workers are separate processes; a speedup needs actual spare cores.
+``benchmarks/bench_parallel_eval.py`` measures the batch case.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
-import time
-from array import array
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.engine.estimator import GUARD_TIME_LIMIT, QueryBudget, QueryGuard
-from repro.errors import BudgetExceededError, EvaluationError
+from repro.engine.estimator import QueryBudget
+from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
-from repro.graph.index import AttributeIndex, candidates_from_index
-from repro.graph.oracle import DistanceOracle, OracleSlice, set_build_context
-from repro.graph.partition import Shard, decompose
-from repro.matching.base import MatchRelation, MatchResult, Stopwatch
-from repro.matching.bounded import (
-    BoundedState,
-    PatternEdge,
-    frozen_successor_rows,
-    match_bounded,
-)
+from repro.graph.oracle import DistanceOracle, set_build_context
+from repro.matching.base import MatchRelation
+from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
 from repro.ranking.topk import RankingContext
-
-#: Per-shard worker payload, all flat int buffers over a frozen snapshot:
-#: (frozen ball sub-snapshot or None for "use the shared snapshot",
-#: out-edge spec per pivot pattern node, pivot ids per pattern node,
-#: child-candidate id arrays per pattern node, oracle label slice or None).
-ShardPayload = tuple[
-    "FrozenGraph | None",
-    dict[str, tuple],
-    dict[str, tuple[int, ...]],
-    dict[str, array],
-    "OracleSlice | None",
-]
 
 # Set once per batch worker (fork inheritance or pool initializer), so
 # per-task payloads stay tiny: the graph, its frozen snapshot and the
@@ -92,28 +51,11 @@ _batch_frozen: FrozenGraph | None = None
 _batch_oracle: DistanceOracle | None = None
 _batch_budget: QueryBudget | None = None
 
-# The shared frozen snapshot (and optional distance oracle) for
-# broad-cover sharded queries.  Under the fork start method the parent
-# sets them *before* creating the pool and children inherit them for free
-# (copy-on-write); under spawn the pool initializer ships them once per
-# worker — and both pickle as a handful of flat buffers, far cheaper than
-# a dict graph.
-_shared_frozen: FrozenGraph | None = None
-_shared_oracle: DistanceOracle | None = None
-
 # Bulk-ranking fan-out state: the snapshot context (and optionally the
 # metric) ship once per worker — fork inheritance or pool initializer —
 # so a ranking task carries only a chunk of node ids.
 _rank_context: RankingContext | None = None
 _rank_metric = None
-
-
-def _set_shared_frozen(
-    frozen: FrozenGraph | None, oracle: DistanceOracle | None = None
-) -> None:
-    global _shared_frozen, _shared_oracle
-    _shared_frozen = frozen
-    _shared_oracle = oracle
 
 
 def _shipment(
@@ -146,106 +88,6 @@ def _resolve_shipped(frozen: Any, oracle: Any) -> tuple[Any, Any]:
     return frozen, oracle
 
 
-def _init_shared_worker(frozen: Any, oracle: Any = None) -> None:
-    # Runs inside spawn-started pool workers (invisible to coverage).
-    _set_shared_frozen(*_resolve_shipped(frozen, oracle))  # pragma: no cover
-
-
-# Guard state for sharded workers: either a live QueryGuard (inline runs —
-# one guard accumulates across every shard, exactly like the sequential
-# matcher) or a ``(budget, shared counter, deadline)`` triple from which
-# each worker process builds its own guard around the *shared* visit
-# counter — one budget governs the whole fan-out, so sequential and
-# parallel evaluation trip on the same total work.
-_shard_guard_state: "QueryGuard | tuple | None" = None
-
-
-def _set_shard_guard(state: "QueryGuard | tuple | None") -> None:
-    global _shard_guard_state
-    _shard_guard_state = state
-
-
-def _resolve_shard_guard() -> "QueryGuard | None":
-    state = _shard_guard_state
-    if state is None or isinstance(state, QueryGuard):
-        return state
-    budget, counter, deadline = state
-    return QueryGuard(budget, shared_counter=counter, deadline=deadline)
-
-
-# Persistent-pool guarded state.  The shared visit counter is installed
-# once per worker at pool creation (the initializer runs under fork and
-# spawn alike), so a guarded task only needs to carry its budget — the
-# counter that aggregates visits across workers is already in place and
-# the pool never has to be rebuilt per guarded call.
-_persistent_counter: Any = None
-
-#: Worker-side memo of snapshot/oracle files already mapped in, so a
-#: long-lived pool worker pays ``load_frozen_file`` once per file rather
-#: than once per task.  Bounded: it resets rather than grows.
-_persistent_loads: dict[str, Any] = {}
-_PERSISTENT_LOAD_SLOTS = 8
-
-
-def _init_persistent_worker(counter: Any) -> None:
-    global _persistent_counter
-    _persistent_counter = counter
-
-
-def _load_memo(path: Any, loader: Callable[[Any], Any]) -> Any:
-    key = str(path)
-    obj = _persistent_loads.get(key)
-    if obj is None:
-        if len(_persistent_loads) >= _PERSISTENT_LOAD_SLOTS:
-            _persistent_loads.clear()
-        obj = _persistent_loads[key] = loader(path)
-    return obj
-
-
-def _resolve_persistent(frozen: Any, oracle: Any) -> tuple[Any, Any]:
-    """Like :func:`_resolve_shipped`, but memoized per worker process."""
-    from repro.engine.storage import load_frozen_file, load_oracle_file
-
-    if isinstance(frozen, (str, Path)):
-        frozen = _load_memo(frozen, load_frozen_file)
-    if isinstance(oracle, (str, Path)):
-        oracle = _load_memo(oracle, load_oracle_file)
-    return frozen, oracle
-
-
-def _shard_rows_shipped(
-    task: "tuple[ShardPayload, Any, Any]",
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """One unguarded shard on the *persistent* pool.
-
-    The shared snapshot/oracle travel inside the task (a file path when
-    mmap-backed — memoized per worker — or attribute-less flat buffers)
-    instead of through module globals, so a long-running service can fan
-    broad-cover queries out over the warm pool without rebuilding it.
-    """
-    payload, shipped_frozen, shipped_oracle = task
-    shared_frozen, shared_oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
-    return _shard_rows_core(payload, shared_frozen, shared_oracle, None)
-
-
-def _shard_rows_guarded(
-    task: "tuple[ShardPayload, Any, Any, QueryBudget]",
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """One guarded shard on the *persistent* pool.
-
-    The task carries everything a long-lived worker does not already
-    hold: the shard payload, the shipped shared snapshot/oracle (a file
-    path when mmap-backed — memoized per worker — or attribute-less flat
-    buffers) and the call's budget.  The guard wraps the process-wide
-    shared counter installed at pool creation, so one node budget still
-    governs the whole fan-out exactly like the dedicated-pool path.
-    """
-    payload, shipped_frozen, shipped_oracle, budget = task
-    shared_frozen, shared_oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
-    guard = QueryGuard(budget, shared_counter=_persistent_counter)
-    return _shard_rows_core(payload, shared_frozen, shared_oracle, guard)
-
-
 def validate_workers(workers: int | None) -> int:
     """Normalize a ``workers`` argument: ``None`` means sequential (1).
 
@@ -258,60 +100,6 @@ def validate_workers(workers: int | None) -> int:
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise EvaluationError(f"workers must be a positive integer (got {workers!r})")
     return workers
-
-
-def _shard_rows(
-    payload: ShardPayload,
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """Successor rows for one shard (runs inside a worker process).
-
-    The payload is int-indexed against a frozen snapshot — either the ball
-    sub-snapshot it carries or the process-shared full one.  Rows are
-    computed by the same :func:`frozen_successor_rows` kernel the
-    sequential matcher uses (sound because each pivot's full ball is inside
-    the shard), then converted back to labels for the merge.  Returns the
-    rows plus a guard-info dict (empty when unguarded): each worker's
-    guard charges the *shared* visit counter, so a blown budget stops
-    every sibling at its next check, not just this shard.
-    """
-    return _shard_rows_core(
-        payload, _shared_frozen, _shared_oracle, _resolve_shard_guard()
-    )
-
-
-def _shard_rows_core(
-    payload: ShardPayload,
-    shared_frozen: "FrozenGraph | None",
-    shared_oracle: "DistanceOracle | None",
-    guard: "QueryGuard | None",
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """The shard kernel shared by the global-state and task-state entries."""
-    frozen, edges_spec, pivots, candidate_arrays, oracle_slice = payload
-    if frozen is None:
-        frozen = shared_frozen
-        assert frozen is not None, "shared snapshot was not installed"
-        # Shared-snapshot shards query the process-shared oracle directly
-        # (full ids); materialized ball shards carry their own label slice
-        # re-keyed to ball ids.
-        oracle = oracle_slice if oracle_slice is not None else shared_oracle
-    else:
-        oracle = oracle_slice
-    candidate_ids = {u: frozenset(ids) for u, ids in candidate_arrays.items()}
-    rows_ids = frozen_successor_rows(
-        frozen, edges_spec, candidate_ids, sources_by_node=pivots, oracle=oracle,
-        guard=guard,
-    )
-    labels = frozen.labels
-    converted = {
-        edge: {
-            labels[source_id]: {
-                labels[reached_id]: dist for reached_id, dist in entries.items()
-            }
-            for source_id, entries in edge_rows.items()
-        }
-        for edge, edge_rows in rows_ids.items()
-    }
-    return converted, (guard.stats() if guard is not None else {})
 
 
 def _init_batch_worker(
@@ -328,17 +116,6 @@ def _init_batch_worker(
     _batch_frozen = frozen
     _batch_oracle = oracle
     _batch_budget = budget
-
-
-def _init_guarded_worker(
-    frozen: Any,
-    oracle: Any,
-    budget: "QueryBudget",
-    counter: Any,
-    deadline: float | None,
-) -> None:  # pragma: no cover - runs in spawn workers
-    _set_shared_frozen(*_resolve_shipped(frozen, oracle))
-    _set_shard_guard((budget, counter, deadline))
 
 
 def _init_rank_worker(context: RankingContext | None, metric: Any) -> None:
@@ -391,567 +168,36 @@ def _batch_query(
 
 
 class ParallelExecutor:
-    """A reusable worker pool for sharded and batched evaluation.
+    """A worker-pool front end for batched evaluation, ranking and oracle
+    builds.
 
-    The pool is created lazily on first parallel use and reused across
-    calls (forking a pool costs more than a small query); close it with
-    :meth:`close` or use the executor as a context manager.  With
-    ``workers=1`` everything runs inline in the calling process — same
-    code path, no processes — so callers can treat the executor as the one
-    evaluation front end regardless of parallelism.
+    Each parallel call forks (or spawns) a pool sized ``workers`` and
+    closes it before returning: children must see the graph, snapshot and
+    candidate table as they are at call time, which fork inheritance gives
+    for free.  With ``workers=1`` everything runs inline in the calling
+    process — same code path, no processes — so callers can treat the
+    executor as the one front end regardless of parallelism.
 
     >>> from repro.datasets.paper_example import paper_graph, paper_pattern
-    >>> with ParallelExecutor(workers=2) as executor:
-    ...     result = executor.match(paper_graph(), paper_pattern())
-    >>> sorted(result.relation.matches_of("SA"))
+    >>> from repro.graph.index import batch_candidates, predicate_key
+    >>> graph, pattern = paper_graph(), paper_pattern()
+    >>> predicates = [pattern.predicate(u) for u in pattern.nodes()]
+    >>> table = batch_candidates(graph, predicates)
+    >>> task = (pattern, {u: predicate_key(pattern.predicate(u))
+    ...                   for u in pattern.nodes()})
+    >>> [(relation, _stats)] = ParallelExecutor(workers=2).match_many(
+    ...     graph, [task], table)
+    >>> sorted(relation.matches_of("SA"))
     ['Bob', 'Walt']
-    >>> result.stats["parallel"]["workers"]
-    2
     """
 
     def __init__(self, workers: int, start_method: str | None = None) -> None:
         self.workers = validate_workers(workers)
         self._ctx = multiprocessing.get_context(start_method)
-        self._pool = None
-        #: Total worker pools this executor has created (persistent and
-        #: dedicated alike) — the regression counter the pool-churn tests
-        #: watch: steady-state guarded serving must not move it.
-        self.pools_created = 0
-        # The shared visit counter all persistent-pool guards wrap; it is
-        # allocated with the pool so every worker receives it through the
-        # initializer, and guarded calls are serialized by ``_guard_serial``
-        # (one budget at a time owns the counter).
-        self._guard_counter: Any = None
-        self._guard_serial = threading.Lock()
-        # Serializes the fan-out section of :meth:`match`: sharded
-        # evaluation installs process-wide module globals (the shared
-        # snapshot and guard state), so concurrent calls from service
-        # threads must take turns.  Candidate generation and the merge
-        # run outside this lock.
-        self._match_serial = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    def _query_pool(self) -> Any:
-        if self._pool is None:
-            if self._guard_counter is None:
-                self._guard_counter = self._ctx.Value("q", 0)
-            self._pool = self._ctx.Pool(
-                self.workers,
-                initializer=_init_persistent_worker,
-                initargs=(self._guard_counter,),
-            )
-            self.pools_created += 1
-        return self._pool
-
-    def _dedicated_pool(self, **kwargs: Any) -> Any:
-        """A single-call pool (counted in :attr:`pools_created`).
-
-        Dedicated pools remain for work that cannot share the persistent
-        one: wall-clock-guarded fan-outs (termination mid-flight) and the
-        fork paths that inherit call-specific module globals.
-        """
-        self.pools_created += 1
+    def _pool(self, **kwargs: Any) -> Any:
+        """A single-call pool; callers close it with ``with pool:``."""
         return self._ctx.Pool(self.workers, **kwargs)
-
-    def warm(self) -> "ParallelExecutor":
-        """Create the persistent pool now, off any request path.
-
-        Long-running services call this at startup so the first guarded
-        or sharded query never pays pool construction.  With one worker
-        there is nothing to warm (everything runs inline).
-        """
-        if self.workers > 1:
-            self._query_pool()
-        return self
-
-    def close(self) -> None:
-        """Terminate the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        state = "live pool" if self._pool is not None else "no pool"
-        return f"<ParallelExecutor workers={self.workers} ({state})>"
-
-    # ------------------------------------------------------------------
-    # per-query parallelism
-    # ------------------------------------------------------------------
-    def match(
-        self,
-        graph: Graph,
-        pattern: Pattern,
-        index: AttributeIndex | None = None,
-        num_shards: int | None = None,
-        frozen: FrozenGraph | None = None,
-        oracle: DistanceOracle | None = None,
-        budget: QueryBudget | None = None,
-        candidates: dict[str, set[NodeId]] | None = None,
-    ) -> MatchResult:
-        """``M(Q,G)`` via sharded evaluation: partition, fan out, merge.
-
-        Candidate generation runs once in the calling process (through
-        ``index`` when given, or skipped entirely when the caller passes
-        precomputed ``candidates`` — the serving layer computes them
-        under its per-epoch index lock); the graph is decomposed into
-        ``num_shards`` (default: one per worker) ball shards whose
-        successor rows the pool computes; the merged state then runs the
-        standard removal fixpoint.  The result carries full refinement
-        state, exactly like :func:`~repro.matching.bounded.match_bounded`.
-
-        All shard work runs over a :class:`FrozenGraph` snapshot — the
-        caller's ``frozen`` (the engine passes its cached one; it must
-        match the graph's current version) or one frozen here.  Shards
-        ship as flat CSR buffers, not pickled dict graphs.  With an
-        ``oracle`` (a :class:`~repro.graph.oracle.DistanceOracle` built
-        from the same snapshot lineage), workers route selective pattern
-        edges to pairwise label merges: shared-snapshot shards query the
-        process-shared oracle, while materialized ball shards receive the
-        label *slices* their pivots and child candidates need, re-keyed to
-        ball ids, alongside the frozen shard payload.
-
-        A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
-        the fan-out as one query: workers charge a *shared* visit counter,
-        so the node budget governs total work across shards (sequential
-        and guarded-parallel runs agree on whether the budget trips); a
-        wall-clock limit aborts in-flight workers via pool termination,
-        and shards that never reported merge as empty rows — a sound
-        under-approximation flagged ``stats["partial"] = True``.
-
-        Thread-safe: concurrent calls serialize on an instance lock for
-        the fan-out itself (the sharded machinery installs process-wide
-        module globals), which is what lets a threaded query service
-        share one executor across requests.
-        """
-        pattern.validate()
-        watch = Stopwatch()
-        if frozen is not None and not frozen.matches(graph):
-            raise EvaluationError(
-                f"stale frozen snapshot: {frozen!r} does not match "
-                f"graph version {graph.version}"
-            )
-        if candidates is None:
-            candidates = candidates_from_index(graph, pattern, index)
-        if frozen is None:
-            frozen = FrozenGraph.freeze(graph)
-        if oracle is not None and not oracle.compatible_with(frozen):
-            raise EvaluationError(
-                f"stale distance oracle: {oracle!r} does not match {frozen!r}"
-            )
-        shards = decompose(
-            graph, pattern, candidates, num_shards or self.workers, frozen=frozen
-        )
-        # Balls pay off when they are selective; for broad queries they
-        # overlap so much that slicing and shipping one induced
-        # sub-snapshot per shard costs more than sharing the one full
-        # snapshot (fork inheritance makes sharing free on POSIX).
-        # Ownership and soundness are identical either way: a BFS from a
-        # pivot sees the same nodes in its ball sub-snapshot as in any
-        # super-snapshot of it.
-        inline = self.workers == 1 or len(shards) <= 1
-        ball_total = sum(len(shard.nodes) for shard in shards)
-        # Inline runs read the full snapshot directly — slicing a ball
-        # sub-snapshot would copy it for nothing.
-        materialize = not inline and ball_total <= graph.num_nodes
-        # Without per-ball restriction the candidate id arrays are
-        # identical across shards; build them once and let every payload
-        # reference the same objects.
-        shared_arrays = (
-            None
-            if materialize
-            else self._candidate_arrays(frozen.ids(), candidates, pattern, shards)
-        )
-        payloads = [
-            self._shard_payload(
-                frozen, pattern, shard, candidates, materialize, shared_arrays,
-                oracle=oracle,
-            )
-            for shard in shards
-        ]
-        guarded = budget is not None and budget.is_limited
-        if guarded:
-            budget.validate()
-        guard_stats: dict[str, Any] = {}
-        with self._match_serial:
-            if inline:
-                guard = QueryGuard(budget) if guarded else None
-                _set_shared_frozen(frozen, oracle)
-                _set_shard_guard(guard)
-                try:
-                    results = [_shard_rows(payload) for payload in payloads]
-                finally:
-                    _set_shared_frozen(None)
-                    _set_shard_guard(None)
-                if guard is not None:
-                    guard_stats = guard.stats()
-            elif guarded and budget.seconds is None:
-                # Node-only budgets never need to kill workers mid-flight,
-                # so they run on the persistent pool: the shared visit
-                # counter was installed at pool creation and pool
-                # construction stays off the per-call path (the churn the
-                # serving layer cares about).
-                results, guard_stats = self._guarded_persistent_map(
-                    frozen, payloads, oracle, budget
-                )
-            elif guarded:
-                # A wall-clock limit may require terminating in-flight
-                # workers, which would destroy a persistent pool — only
-                # these calls pay for a dedicated pool.
-                results, guard_stats = self._guarded_map(
-                    frozen, payloads, oracle, budget
-                )
-            elif materialize:
-                results = self._query_pool().map(_shard_rows, payloads)
-            elif self._pool is not None:
-                # A warm persistent pool exists (a long-running service):
-                # ship the shared snapshot inside the tasks — a file path
-                # when mmap-backed, memoized per worker — instead of
-                # forking a dedicated pool per broad-cover call, keeping
-                # pool construction off the request path entirely.
-                shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
-                tasks = [
-                    (payload, shipped_frozen, shipped_oracle)
-                    for payload in payloads
-                ]
-                results = self._pool.map(_shard_rows_shipped, tasks)
-            else:
-                results = self._shared_frozen_map(frozen, payloads, oracle=oracle)
-        merged: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]] = {}
-        for rows, _info in results:
-            for edge, row in rows.items():
-                merged.setdefault(edge, {}).update(row)
-        state = BoundedState.from_successor_rows(
-            graph, pattern, candidates, merged,
-            allow_missing=bool(guard_stats.get("partial")),
-        )
-        relation = state.relation()
-        stats = {
-            "algorithm": (
-                "simulation" if pattern.is_simulation_pattern else "bounded-simulation"
-            ),
-            "seconds": watch.seconds(),
-            "candidate_source": "scan" if index is None else "index",
-            "parallel": {
-                "mode": "sharded-query",
-                "workers": self.workers,
-                "shards": len(shards),
-                "pivots": sum(shard.num_pivots for shard in shards),
-                "shipping": (
-                    "inline"
-                    if inline
-                    else ("ball-subgraphs" if materialize else "shared-graph")
-                ),
-            },
-        }
-        stats.update(guard_stats)
-        return MatchResult(graph, pattern, relation, stats=stats, state=state)
-
-    @staticmethod
-    def _candidate_arrays(
-        ids: dict[NodeId, int],
-        candidates: dict[str, set[NodeId]],
-        pattern: Pattern,
-        shards: Sequence[Shard],
-    ) -> dict[str, array]:
-        """Dense candidate id arrays for every pattern node any shard filters
-        against (the union of the shards' out-edge targets)."""
-        targets_needed = {
-            edge_target
-            for shard in shards
-            for u in shard.pivots
-            for edge_target, _bound in pattern.out_edges(u)
-        }
-        return {
-            u: array("q", sorted(ids[v] for v in candidates[u]))
-            for u in targets_needed
-        }
-
-    @staticmethod
-    def _shard_payload(
-        frozen: FrozenGraph,
-        pattern: Pattern,
-        shard: Shard,
-        candidates: dict[str, set[NodeId]],
-        materialize: bool,
-        shared_arrays: dict[str, array] | None,
-        oracle: DistanceOracle | None = None,
-    ) -> ShardPayload:
-        """What one worker needs, as flat buffers over a frozen snapshot.
-
-        ``materialize=True`` slices the ball sub-snapshot out of the full
-        one (CSR filtering, no dict graph in between) and indexes pivots
-        and candidates against *its* dense ids, restricted to the ball
-        (entries beyond it are unreachable within the depths);
-        ``materialize=False`` sends no snapshot at all — ids refer to the
-        process-shared full one and the candidate arrays are the
-        ``shared_arrays`` built once for the whole decomposition.
-
-        With an ``oracle``, a materialized payload also carries the label
-        slice for the edges the cost model routes to pairwise merges:
-        forward rows of the shard's pivots (plus the successors needed for
-        self-cycle fixes), reverse rows of the routed edges' child
-        candidates — re-keyed to ball ids, so the worker joins against its
-        ball adjacency directly.
-        """
-        edges_spec = {u: tuple(pattern.out_edges(u)) for u in shard.pivots}
-        targets_needed = {
-            edge_target
-            for out_edges in edges_spec.values()
-            for edge_target, _bound in out_edges
-        }
-        if materialize:
-            ball = frozen.induced(
-                shard.nodes,
-                name=f"{frozen.name}#shard{shard.index}",
-                include_attrs=False,
-            )
-            ids = ball.ids()
-            candidate_arrays = {
-                u: array("q", sorted(ids[v] for v in candidates[u] & shard.nodes))
-                for u in targets_needed
-            }
-            oracle_slice = (
-                ParallelExecutor._slice_for_shard(
-                    frozen, pattern, shard, candidates, oracle, ball
-                )
-                if oracle is not None
-                else None
-            )
-        else:
-            assert shared_arrays is not None
-            ball = None
-            ids = frozen.ids()
-            candidate_arrays = {u: shared_arrays[u] for u in targets_needed}
-            oracle_slice = None  # workers query the process-shared oracle
-        pivot_ids = {
-            u: tuple(ids[v] for v in pivots) for u, pivots in shard.pivots.items()
-        }
-        return (ball, edges_spec, pivot_ids, candidate_arrays, oracle_slice)
-
-    @staticmethod
-    def _slice_for_shard(
-        frozen: FrozenGraph,
-        pattern: Pattern,
-        shard: Shard,
-        candidates: dict[str, set[NodeId]],
-        oracle: DistanceOracle,
-        ball: FrozenGraph,
-    ) -> "OracleSlice | None":
-        """The label slice a materialized shard ships, or None if no edge
-        of this shard routes to the oracle (cost model, shard-local pivot
-        counts)."""
-        from repro.engine.planner import KERNEL_ORACLE, route_edge
-        from repro.matching.bounded import FROZEN_BULK_DEPTH
-
-        full_ids = frozen.ids()
-        profile = oracle.profile()
-        routed: set[tuple[str, str]] = set()
-        out_nodes: set[int] = set()
-        in_nodes: set[int] = set()
-        successor_sets = frozen.successor_sets()
-        for source_pattern, pivots in shard.pivots.items():
-            pivot_ids = [full_ids[v] for v in pivots]
-            for edge_target, bound in pattern.out_edges(source_pattern):
-                children = candidates[edge_target] & shard.nodes
-                route = route_edge(
-                    (source_pattern, edge_target),
-                    bound,
-                    len(pivot_ids),
-                    len(children),
-                    ball.num_nodes,
-                    ball.num_edges,
-                    profile if oracle.covers(bound) else None,
-                    bulk_depth=FROZEN_BULK_DEPTH,
-                )
-                if route.kernel != KERNEL_ORACLE:
-                    continue
-                routed.add((source_pattern, edge_target))
-                child_ids = {full_ids[v] for v in children}
-                out_nodes.update(pivot_ids)
-                in_nodes.update(child_ids)
-                for pivot_id in pivot_ids:
-                    if pivot_id in child_ids:
-                        # Self-cycle fixes merge through the successors.
-                        out_nodes.update(successor_sets[pivot_id])
-                        in_nodes.add(pivot_id)
-        if not routed:
-            return None
-        ball_ids = ball.ids()
-        labels = frozen.labels
-        remap = {full_id: ball_ids[labels[full_id]] for full_id in out_nodes | in_nodes}
-        label_slice = oracle.slice_rows(out_nodes, in_nodes, remap=remap)
-        label_slice.edges = frozenset(routed)
-        return label_slice
-
-    def _guarded_persistent_map(
-        self,
-        frozen: FrozenGraph,
-        payloads: list[ShardPayload],
-        oracle: DistanceOracle | None,
-        budget: QueryBudget,
-    ) -> tuple[list, dict[str, Any]]:
-        """Fan guarded shard work out over the *persistent* pool.
-
-        For budgets without a wall-clock limit nothing ever has to be
-        terminated mid-flight, so the long-lived pool can serve guarded
-        calls too — tasks carry the shipped snapshot (a file path for
-        mmap-backed stores, memoized worker-side) and the budget, while
-        the shared visit counter installed at pool creation aggregates
-        work across workers exactly like the dedicated-pool path.  Calls
-        are serialized: one budget at a time owns the counter.
-        ``Pool.map`` waits for every task before raising the first error,
-        so no straggler outlives the call and charges a reset counter.
-        """
-        shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
-        with self._guard_serial:
-            pool = self._query_pool()
-            counter = self._guard_counter
-            with counter.get_lock():
-                counter.value = 0
-            tasks = [
-                (payload, shipped_frozen, shipped_oracle, budget)
-                for payload in payloads
-            ]
-            results = pool.map(_shard_rows_guarded, tasks)
-            visits = counter.value
-        tripped = None
-        replans = 0
-        for _rows, info in results:
-            replans += info.get("replans", 0)
-            if tripped is None and info.get("guard"):
-                tripped = info["guard"]
-        guard_stats: dict[str, Any] = {
-            "partial": tripped is not None,
-            "visits": visits,
-        }
-        if tripped is not None:
-            guard_stats["guard"] = tripped
-        if replans:
-            guard_stats["replans"] = replans
-        return results, guard_stats
-
-    def _guarded_map(
-        self,
-        frozen: FrozenGraph,
-        payloads: list[ShardPayload],
-        oracle: DistanceOracle | None,
-        budget: QueryBudget,
-    ) -> tuple[list, dict[str, Any]]:
-        """Fan shard work out under a budget shared across all workers.
-
-        A dedicated pool forks with the snapshot *and* the guard state —
-        ``(budget, shared counter, absolute deadline)`` — in its globals;
-        each worker builds a :class:`QueryGuard` around the shared counter,
-        so one node budget governs the sum of all shards' work.  The
-        parent drains ``imap_unordered`` with the remaining wall-clock as
-        timeout: when time runs out it *terminates* the pool, cancelling
-        in-flight shards; their pivots merge as missing (empty) rows — a
-        sound under-approximation.  ``time.monotonic`` is comparable
-        across processes on Linux, so the absolute deadline forks as-is.
-        """
-        counter = self._ctx.Value("q", 0)
-        deadline = (
-            time.monotonic() + budget.seconds
-            if budget.seconds is not None
-            else None
-        )
-        aborted = False
-        results: list = []
-        pool = None
-        _set_shared_frozen(frozen, oracle)
-        _set_shard_guard((budget, counter, deadline))
-        try:
-            if self._ctx.get_start_method() == "fork":
-                pool = self._dedicated_pool()
-            else:
-                pool = self._dedicated_pool(
-                    initializer=_init_guarded_worker,
-                    initargs=(*_shipment(frozen, oracle), budget, counter, deadline),
-                )
-            iterator = pool.imap_unordered(_shard_rows, payloads)
-            for _ in payloads:
-                try:
-                    if deadline is None:
-                        results.append(iterator.next())
-                    else:
-                        remaining = deadline - time.monotonic()
-                        results.append(iterator.next(max(0.0, remaining)))
-                except multiprocessing.TimeoutError:
-                    aborted = True
-                    break
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            _set_shared_frozen(None)
-            _set_shard_guard(None)
-        visits = counter.value
-        tripped = GUARD_TIME_LIMIT if aborted else None
-        replans = 0
-        for _rows, info in results:
-            replans += info.get("replans", 0)
-            if tripped is None and info.get("guard"):
-                tripped = info["guard"]
-        if aborted and not budget.allow_partial:
-            raise BudgetExceededError(
-                f"query exceeded its {GUARD_TIME_LIMIT} (visits={visits}, "
-                f"budget={budget}); in-flight shard workers were cancelled"
-            )
-        guard_stats: dict[str, Any] = {
-            "partial": tripped is not None,
-            "visits": visits,
-        }
-        if tripped is not None:
-            guard_stats["guard"] = tripped
-        if replans:
-            guard_stats["replans"] = replans
-        return results, guard_stats
-
-    def _shared_frozen_map(
-        self,
-        frozen: FrozenGraph,
-        payloads: list[ShardPayload],
-        oracle: DistanceOracle | None = None,
-    ) -> list:
-        """Fan shard work out over a pool that shares the full snapshot.
-
-        A dedicated pool is created per call: under the fork start method
-        the children inherit the snapshot (and oracle labels, when routing
-        uses them) from the parent's module globals at zero cost; under
-        spawn the initializer ships their flat buffers once per worker.
-        Either way beats pickling a near-full ball into every task, which
-        is what broad-cover queries would otherwise pay.
-        """
-        _set_shared_frozen(frozen, oracle)
-        try:
-            if self._ctx.get_start_method() == "fork":
-                pool = self._dedicated_pool()
-            else:
-                # Workers only traverse: ship the adjacency-only twin —
-                # or just the file path when the snapshot is mmap-backed.
-                pool = self._dedicated_pool(
-                    initializer=_init_shared_worker,
-                    initargs=_shipment(frozen, oracle),
-                )
-            with pool:
-                return pool.map(_shard_rows, payloads)
-        finally:
-            _set_shared_frozen(None)
 
     # ------------------------------------------------------------------
     # bulk-ranking parallelism
@@ -998,9 +244,9 @@ class ParallelExecutor:
             _init_rank_worker(context, metric)
             try:
                 if self._ctx.get_start_method() == "fork":
-                    pool = self._dedicated_pool()
+                    pool = self._pool()
                 else:  # pragma: no cover - non-fork platforms
-                    pool = self._dedicated_pool(
+                    pool = self._pool(
                         initializer=_init_rank_worker,
                         initargs=(context, metric),
                     )
@@ -1080,7 +326,7 @@ class ParallelExecutor:
                 # the parent's module globals for free (copy-on-write);
                 # nothing to pickle.
                 _init_batch_worker(graph, table, frozen, oracle, budget)
-                pool = self._dedicated_pool()
+                pool = self._pool()
             else:
                 # Matchers in workers get candidates from the table, so
                 # the snapshot ships without its attribute columns (or as
@@ -1089,7 +335,7 @@ class ParallelExecutor:
                     shipped_frozen = shipped_oracle = None
                 else:
                     shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
-                pool = self._dedicated_pool(
+                pool = self._pool(
                     initializer=_init_batch_worker,
                     initargs=(graph, table, shipped_frozen, shipped_oracle, budget),
                 )
@@ -1111,7 +357,7 @@ class ParallelExecutor:
 
         Phase one (the sequential top-landmark prefix) runs in the calling
         process; the independent phase-two landmark chunks are mapped over
-        a dedicated pool that shares the phase-one labels — fork
+        a pool that shares the phase-one labels — fork
         inheritance on POSIX, pool initializer elsewhere — and return flat
         entry triples.  Because phase-two pruning only ever consults the
         fixed phase-one labels, the resulting label arrays are
@@ -1139,11 +385,11 @@ class ParallelExecutor:
         if len(chunks) <= 1:
             return [function(chunk) for chunk in chunks]
         if self._ctx.get_start_method() == "fork":
-            pool = self._dedicated_pool()
+            pool = self._pool()
         else:  # pragma: no cover - non-fork platforms
             from repro.graph.oracle import _build_context
 
-            pool = self._dedicated_pool(
+            pool = self._pool(
                 initializer=set_build_context,
                 initargs=(_build_context,),
             )

@@ -90,19 +90,9 @@ class ExpFinder:
         """Label/build statistics of the graph's oracle (None: disabled)."""
         return self.engine.oracle_stats(graph_name)
 
-    def match(
-        self,
-        graph_name: str,
-        pattern: Pattern,
-        workers: int | None = None,
-        **kwargs: Any,
-    ) -> MatchResult:
-        """``M(Q,G)`` with engine routing (cache / compressed / direct).
-
-        ``workers`` > 1 runs the direct route with ball-sharded parallel
-        evaluation (identical result, fanned out to a process pool).
-        """
-        return self.engine.evaluate(graph_name, pattern, workers=workers, **kwargs)
+    def match(self, graph_name: str, pattern: Pattern, **kwargs: Any) -> MatchResult:
+        """``M(Q,G)`` with engine routing (cache / compressed / direct)."""
+        return self.engine.evaluate(graph_name, pattern, **kwargs)
 
     def match_many(
         self,
@@ -114,7 +104,7 @@ class ExpFinder:
         """Evaluate many queries in one batch (shared candidate work).
 
         ``workers`` > 1 farms the batch's distinct direct-route queries out
-        to a process pool (one big query is sharded instead).
+        to a process pool.
         """
         return self.engine.evaluate_many(
             graph_name, patterns, workers=workers, **kwargs
@@ -131,7 +121,7 @@ class ExpFinder:
     ) -> list[RankedMatch] | list[tuple[NodeId, float]]:
         """Top-K matches of the output node, best first.
 
-        ``workers`` > 1 parallelises both evaluation and per-match scoring;
+        ``workers`` > 1 parallelises per-match scoring;
         any other keyword (``use_cache``, ``use_compression``, ...) is
         forwarded to :meth:`QueryEngine.evaluate`, exactly as
         :meth:`QueryEngine.top_k` accepts them.

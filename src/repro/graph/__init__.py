@@ -7,7 +7,6 @@ from repro.graph.distance import (
     bounded_descendants,
     distance,
     eccentricity_within,
-    multi_source_descendants,
     weighted_distances,
     within_bound,
 )
@@ -35,7 +34,7 @@ from repro.graph.index import (
     candidates_from_index,
     predicate_key,
 )
-from repro.graph.oracle import DistanceOracle, OracleSlice
+from repro.graph.oracle import DistanceOracle
 from repro.graph.reach_index import BoundedReachIndex
 from repro.graph.stats import (
     DegreeStats,
@@ -56,7 +55,6 @@ __all__ = [
     "bounded_descendants",
     "distance",
     "eccentricity_within",
-    "multi_source_descendants",
     "weighted_distances",
     "within_bound",
     "FrozenGraph",
@@ -79,7 +77,6 @@ __all__ = [
     "predicate_key",
     "BoundedReachIndex",
     "DistanceOracle",
-    "OracleSlice",
     "DegreeStats",
     "attribute_histogram",
     "degree_stats",

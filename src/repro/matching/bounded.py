@@ -65,25 +65,22 @@ def frozen_successor_rows(
     frozen: FrozenGraph,
     out_edges_by_node: Mapping[str, Sequence[tuple[str, Bound]]],
     candidate_ids: Mapping[str, frozenset[int]],
-    sources_by_node: Mapping[str, Sequence[int]] | None = None,
     oracle=None,
     kernel_log: dict[PatternEdge, Any] | None = None,
     guard=None,
 ) -> dict[PatternEdge, dict[int, dict[int, int]]]:
     """Bounded successor rows for every source candidate, int-indexed.
 
-    For each pattern node ``u`` with out-edges and each source id ``v``
-    (``sources_by_node[u]`` when given — the sharded evaluator's pivots —
-    else every candidate of ``u``), computes per out-edge ``(u, u')`` the
-    row ``{w: dist}`` of ``u'``-candidates within the edge bound.  This is
-    exactly what :meth:`BoundedState._build_successor_sets` materializes,
-    with three kernel strategies instead of one truncated BFS per candidate,
+    For each pattern node ``u`` with out-edges and each candidate id ``v``
+    of ``u``, computes per out-edge ``(u, u')`` the row ``{w: dist}`` of
+    ``u'``-candidates within the edge bound.  This is exactly what
+    :meth:`BoundedState._build_successor_sets` materializes, with three
+    kernel strategies instead of one truncated BFS per candidate,
     routed per pattern edge by the planner's cost model
     (:func:`repro.engine.planner.route_edge`):
 
     * **oracle-pairwise** — with a
-      :class:`~repro.graph.oracle.DistanceOracle` (or shipped
-      :class:`~repro.graph.oracle.OracleSlice`) covering the bound and
+      :class:`~repro.graph.oracle.DistanceOracle` covering the bound and
       selective candidate sets, rows come from candidate x candidate label
       merges: no ball is ever materialised;
     * **shallow bounds** — per-source level BFS over the snapshot's
@@ -128,15 +125,7 @@ def frozen_successor_rows(
     adjacency = frozen.successor_sets()
     num_nodes = len(adjacency)
     num_edges = frozen.num_edges
-    # A shipped OracleSlice carries the parent's routing verbatim (its
-    # ``edges`` set); a full oracle exposes measured label statistics and
-    # lets the cost model decide here.
-    forced_edges = getattr(oracle, "edges", None)
-    oracle_profile = (
-        oracle.profile()
-        if oracle is not None and forced_edges is None
-        else None
-    )
+    oracle_profile = oracle.profile() if oracle is not None else None
     # Guarded evaluation routes from *sampled* frontier estimates and
     # re-scales the remaining estimates (``correction``) whenever a group's
     # measured work overshoots its estimate by the budget's replan factor.
@@ -148,10 +137,7 @@ def frozen_successor_rows(
         out_edges = list(out_edges)
         if not out_edges:
             continue
-        if sources_by_node is not None:
-            sources = list(sources_by_node.get(source_pattern, ()))
-        else:
-            sources = sorted(candidate_ids[source_pattern])
+        sources = sorted(candidate_ids[source_pattern])
         sampled = None
         ball_edges_estimate = None
         if guard is not None and sources:
@@ -181,8 +167,6 @@ def frozen_successor_rows(
                 bulk_depth=FROZEN_BULK_DEPTH,
                 ball_edges_estimate=ball_edges_estimate,
             )
-            if forced_edges is not None and edge in forced_edges:
-                route = replace(route, kernel=KERNEL_ORACLE)
             routes[edge] = route
             item = (edge, bound, children)
             if route.kernel == KERNEL_ORACLE:
@@ -365,23 +349,12 @@ class BoundedState:
         self._reach_index = reach_index
         if candidates is None:
             candidates = simulation_candidates(graph, pattern, index=index)
-        self._init_containers(graph, pattern, candidates)
-        # The snapshot only accelerates construction; it is deliberately
-        # *not* stored on the state, because incremental maintenance
-        # mutates the graph afterwards and must fall back to live reads.
-        self._build_successor_sets(frozen=frozen, oracle=oracle, guard=guard)
-        self._initial_refinement()
-
-    def _init_containers(
-        self, graph: Graph, pattern: Pattern, candidates: dict[str, set[NodeId]]
-    ) -> None:
-        """Shared state setup for both constructors (candidates are copied:
-        the state owns and mutates its sets)."""
         self.graph = graph
         self.pattern = pattern
         # Per-pattern-edge EdgeRoute log of the frozen kernels (empty for
-        # the dict-graph and merged-row construction paths).
+        # the dict-graph construction path).
         self.kernels: dict[PatternEdge, Any] = {}
+        # The state owns and mutates its candidate sets, so they are copied.
         self.cand = {u: set(vs) for u, vs in candidates.items()}
         self.sim: dict[str, set[NodeId]] = {u: set(vs) for u, vs in self.cand.items()}
         self.S: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]] = {}
@@ -394,69 +367,11 @@ class BoundedState:
             self.S[edge] = {}
             self.R[edge] = {}
             self.cnt[edge] = {}
-
-    @classmethod
-    def from_successor_rows(
-        cls,
-        graph: Graph,
-        pattern: Pattern,
-        candidates: dict[str, set[NodeId]],
-        rows: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]],
-        allow_missing: bool = False,
-    ) -> "BoundedState":
-        """Assemble a state from externally computed ``S`` rows.
-
-        This is the merge step of parallel sharded evaluation
-        (:mod:`repro.engine.parallel`): workers return, per pattern edge and
-        owned source candidate, the bounded successor entries their ball
-        subgraph yields (identical to the full-graph entries because ball
-        covers are sound), and this constructor rebuilds ``R``/``cnt`` and
-        runs the very same initial removal fixpoint the sequential
-        constructor runs — the boundary refinement that makes cross-shard
-        refutations cascade.  Every candidate of every pattern edge's source
-        must have a row (possibly empty); a missing row means the shard
-        decomposition lost a pivot and raises instead of silently producing
-        a wrong (too large) relation.
-
-        ``allow_missing=True`` relaxes that check for *guarded* partial
-        evaluation: shards aborted by a tripped budget never report their
-        rows, so missing candidates get an empty row (cnt 0) and the
-        fixpoint prunes them — an under-approximation, which is exactly
-        the sound direction for a partial result.
-        """
-        pattern.validate()
-        state = cls.__new__(cls)
-        state._reach_index = None
-        state._init_containers(graph, pattern, candidates)
-        unknown = [edge for edge in rows if edge not in state.S]
-        if unknown:
-            raise EvaluationError(f"rows for unknown pattern edges: {unknown}")
-        for edge, row in rows.items():
-            child_sim = state.sim[edge[1]]
-            for data_node, entries in row.items():
-                if data_node not in state.cand[edge[0]]:
-                    raise EvaluationError(
-                        f"row for non-candidate {data_node!r} of {edge[0]!r}"
-                    )
-                state.S[edge][data_node] = dict(entries)
-                for reached in entries:
-                    state.R[edge].setdefault(reached, set()).add(data_node)
-                state.cnt[edge][data_node] = sum(
-                    1 for reached in entries if reached in child_sim
-                )
-        for (source, target), edge_rows in state.S.items():
-            if set(edge_rows) != state.cand[source]:
-                lost = state.cand[source] - set(edge_rows)
-                if not allow_missing:
-                    raise EvaluationError(
-                        f"merged S rows incomplete for source {source!r}: "
-                        f"{len(lost)} candidate(s) have no row"
-                    )
-                for data_node in lost:
-                    state.S[(source, target)][data_node] = {}
-                    state.cnt[(source, target)][data_node] = 0
-        state._initial_refinement()
-        return state
+        # The snapshot only accelerates construction; it is deliberately
+        # *not* stored on the state, because incremental maintenance
+        # mutates the graph afterwards and must fall back to live reads.
+        self._build_successor_sets(frozen=frozen, oracle=oracle, guard=guard)
+        self._initial_refinement()
 
     # ------------------------------------------------------------------
     # construction
@@ -719,7 +634,6 @@ def match_bounded(
     frozen: FrozenGraph | None = None,
     oracle=None,
     budget=None,
-    guard=None,
 ) -> MatchResult:
     """Compute ``M(Q,G)`` under bounded simulation.
 
@@ -744,9 +658,7 @@ def match_bounded(
     either raises :class:`~repro.errors.BudgetExceededError` or — with
     ``allow_partial=True`` — degrades to a *sound subset* of the exact
     relation flagged ``stats["partial"] = True`` with the tripped guard in
-    ``stats["guard"]``.  Callers that already own a
-    :class:`~repro.engine.estimator.QueryGuard` (the parallel executor's
-    shard workers share one counter) pass ``guard`` instead.
+    ``stats["guard"]``.
 
     >>> from repro.graph.digraph import Graph
     >>> from repro.pattern.pattern import Pattern
@@ -760,7 +672,8 @@ def match_bounded(
     [('X', 'a'), ('Y', 'b')]
     """
     watch = Stopwatch()
-    if guard is None and budget is not None and budget.is_limited:
+    guard = None
+    if budget is not None and budget.is_limited:
         from repro.engine.estimator import QueryGuard
 
         guard = QueryGuard(budget)

@@ -3,12 +3,9 @@
 Layering (each usable on its own):
 
 * :class:`ExpFinderService` — the in-process facade: graph registration,
-  epoch-pinned reads, atomic update publishing, admission control and a
-  warm :class:`~repro.engine.parallel.ParallelExecutor` pool built at
-  startup, through which ``evaluate``/``batch``/``topk`` fan sharded
-  evaluation out when ``workers > 1``.  Tests and benchmarks drive this
-  object directly; its read path is relation-identical to
-  :class:`~repro.engine.engine.QueryEngine`.
+  epoch-pinned reads, atomic update publishing and admission control.
+  Tests and benchmarks drive this object directly; its read path is
+  relation-identical to :class:`~repro.engine.engine.QueryEngine`.
 * :class:`QueryServer` — ``ThreadingHTTPServer`` + JSON around the
   service; one daemon thread per connection, HTTP/1.1 keep-alive.
 
@@ -48,10 +45,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.estimator import QueryBudget
-from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.errors import ReproError, ServerError
 from repro.graph.digraph import Graph
 from repro.graph.io import graph_from_dict
+from repro.ranking.topk import validate_k
 from repro.server.admission import AdmissionController
 from repro.server.registry import SnapshotRegistry
 from repro.server.wal import Checkpointer, WriteAheadLog
@@ -70,7 +67,6 @@ from repro.server.wire import (
 class ServiceConfig:
     """Tunables of one service instance (all have serving-safe defaults)."""
 
-    workers: int = 1
     max_inflight: int = 8
     max_queue: int = 16
     queue_timeout: float = 5.0
@@ -87,7 +83,6 @@ class ServiceConfig:
     checkpoint_background: bool = True
 
     def validated(self) -> "ServiceConfig":
-        validate_workers(self.workers)
         # the same checks the controller applies, surfaced at config time
         # so the CLI can name the offending flag
         AdmissionController(
@@ -109,14 +104,11 @@ class ServiceConfig:
 
 
 class ExpFinderService:
-    """Registry + admission + warm pool behind one facade.
+    """Registry + admission behind one facade.
 
-    The executor pool (``workers > 1``) is built once at construction —
-    :meth:`ParallelExecutor.warm` — and every cache-miss ``evaluate`` /
-    ``batch`` / ``topk`` evaluation routes through it
-    (:meth:`Epoch.evaluate` with ``executor=``), so no request ever pays
-    pool construction; the executor serializes its own fan-out section
-    internally because the sharded path installs module globals.
+    Every evaluation runs on the request's own thread against the pinned
+    epoch (:meth:`Epoch.evaluate`); admission control bounds how many run
+    at once.
     """
 
     def __init__(self, config: ServiceConfig | None = None, store: Any = None) -> None:
@@ -157,9 +149,6 @@ class ExpFinderService:
             max_queue=self.config.max_queue,
             queue_timeout=self.config.queue_timeout,
         )
-        self._executor: ParallelExecutor | None = None
-        if self.config.workers > 1:
-            self._executor = ParallelExecutor(self.config.workers).warm()
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._closed = False
@@ -192,8 +181,6 @@ class ExpFinderService:
                 self.checkpointer.close(final_checkpoint=True)
             if self.wal is not None:
                 self.wal.close()
-            if self._executor is not None:
-                self._executor.close()
 
     def __enter__(self) -> "ExpFinderService":
         return self
@@ -261,9 +248,7 @@ class ExpFinderService:
         budget = decode_budget(payload, default=self.config.default_budget)
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
-                result = epoch.evaluate(
-                    pattern, budget=budget, executor=self._executor
-                )
+                result = epoch.evaluate(pattern, budget=budget)
                 return {
                     "graph": name,
                     "epoch": epoch.epoch_id,
@@ -289,10 +274,7 @@ class ExpFinderService:
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
                 results = [
-                    epoch.evaluate(
-                        pattern, budget=budget, executor=self._executor
-                    )
-                    for pattern in patterns
+                    epoch.evaluate(pattern, budget=budget) for pattern in patterns
                 ]
                 return {
                     "graph": name,
@@ -311,14 +293,11 @@ class ExpFinderService:
         self._count("topk")
         pattern = decode_pattern(payload)
         k = payload.get("k", 10)
-        if not isinstance(k, int) or k < 1:
-            raise ServerError(f"k must be a positive integer (got {k!r})")
+        validate_k(k)
         budget = decode_budget(payload, default=self.config.default_budget)
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
-                ranked = epoch.top_k(
-                    pattern, k, budget=budget, executor=self._executor
-                )
+                ranked = epoch.top_k(pattern, k, budget=budget)
                 return {
                     "graph": name,
                     "epoch": epoch.epoch_id,
@@ -363,12 +342,9 @@ class ExpFinderService:
             "registry": self.registry.stats(),
             "admission": self.admission.stats(),
             "requests": requests,
-            "workers": self.config.workers,
         }
         if self.wal is not None:
             stats["wal"] = self.registry.wal_status()
-        if self._executor is not None:
-            stats["pools_created"] = self._executor.pools_created
         return stats
 
 
@@ -459,8 +435,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServerError(f"malformed Content-Length header: {header!r}")
+        if length == 0:
             raise ServerError("request body must be a JSON object")
         raw = self.rfile.read(length)
         try:

@@ -34,7 +34,7 @@ burst republishes in O(copy + freeze) without any label rebuild.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.engine.cache import QueryCache, RankCache, cache_key
 from repro.engine.estimator import QueryBudget
@@ -116,10 +116,7 @@ class Epoch:
             return simulation_candidates(self.graph, pattern, index=self.attr_index)
 
     def evaluate(
-        self,
-        pattern: Pattern,
-        budget: QueryBudget | None = None,
-        executor: Any = None,
+        self, pattern: Pattern, budget: QueryBudget | None = None
     ) -> MatchResult:
         """``M(Q,G)`` against this epoch — cache, then frozen kernels.
 
@@ -128,13 +125,6 @@ class Epoch:
         is byte-identical to ``QueryEngine.evaluate`` on the same graph
         version — the E18 benchmark asserts exactly that.  Partial
         (budget-tripped) results are never cached.
-
-        An ``executor`` (a :class:`~repro.engine.parallel.ParallelExecutor`
-        with ``workers > 1``) fans cache-miss evaluation out across its
-        worker pool instead of running the kernels inline; the sharded
-        result is relation-identical to the inline one (asserted by the
-        differential suite), so the cache and byte-identity contracts are
-        unchanged.
         """
         pattern.validate()
         watch = Stopwatch()
@@ -149,16 +139,7 @@ class Epoch:
             )
             return result
         candidates = self.candidates(pattern)
-        if executor is not None and executor.workers > 1:
-            result = executor.match(
-                self.graph,
-                pattern,
-                candidates=candidates,
-                frozen=self.frozen,
-                oracle=self.oracle,
-                budget=budget,
-            )
-        elif pattern.is_simulation_pattern:
+        if pattern.is_simulation_pattern:
             result = match_simulation(
                 self.graph, pattern, candidates=candidates, frozen=self.frozen
             )
@@ -181,14 +162,13 @@ class Epoch:
         pattern: Pattern,
         k: int,
         budget: QueryBudget | None = None,
-        executor: Any = None,
     ) -> list:
         """Top-K ranked experts against this epoch (rank-cache aware)."""
         key = cache_key(self.name, pattern)
         entry = self.rank_cache.get(key, self.graph.version)
         if entry is not None:
             return bulk_top_k_detail(entry.context, k)
-        result = self.evaluate(pattern, budget=budget, executor=executor)
+        result = self.evaluate(pattern, budget=budget)
         context = RankingContext(result.result_graph())
         ranked = bulk_top_k_detail(context, k)
         if not result.stats.get("partial"):
@@ -829,7 +809,3 @@ class SnapshotRegistry:
             state = self._graphs.get(name)
             return list(state.live.values()) if state is not None else []
 
-
-def batch_updates(updates: Iterable[Update]) -> list[Update]:
-    """Normalize an update iterable into the list ``publish`` expects."""
-    return list(updates)

@@ -239,25 +239,15 @@ class TestDemo:
 class TestWorkers:
     """CLI error paths and happy paths for the --workers flag."""
 
-    def test_query_parallel_matches_sequential_output(
-        self, graph_file, pattern_file, capsys
-    ):
-        assert main(["query", "--graph", graph_file, "--pattern", pattern_file]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["query", "--graph", graph_file, "--pattern", pattern_file,
-                     "--workers", "2"]) == 0
-        assert capsys.readouterr().out == sequential
-        assert "SA: Bob, Walt" in sequential
-
-    @pytest.mark.parametrize("workers", ["0", "-4"])
-    def test_query_rejects_bad_workers(self, graph_file, pattern_file, capsys,
-                                       workers):
-        code = main(["query", "--graph", graph_file, "--pattern", pattern_file,
-                     "--workers", workers])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "--workers: workers must be a positive integer" in err
+    @pytest.mark.parametrize("command", [
+        ["query", "--graph", "g.json", "--pattern", "p.pattern"],
+        ["serve", "--graph", "g.json"],
+    ], ids=["query", "serve"])
+    def test_single_query_commands_have_no_workers_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_batch_rejects_bad_workers(self, graph_file, pattern_file, capsys,
@@ -269,8 +259,8 @@ class TestWorkers:
 
     def test_batch_single_pattern_with_workers(self, graph_file, pattern_file,
                                                capsys):
-        # A one-query batch delegates to per-query sharding; the summary
-        # line must still render (regression: KeyError on stats["batch"]).
+        # A one-query batch runs inline; the summary line must still
+        # render (regression: KeyError on stats["batch"]).
         code = main(["batch", "--graph", graph_file, "--pattern", pattern_file,
                      "--workers", "2"])
         assert code == 0
@@ -291,13 +281,6 @@ class TestWorkers:
         empty.write_text("")
         code = main(["batch", "--graph", graph_file, "--pattern", str(empty),
                      "--workers", "2"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_query_parallel_missing_graph_file_is_error(self, tmp_path,
-                                                        pattern_file, capsys):
-        code = main(["query", "--graph", str(tmp_path / "none.json"),
-                     "--pattern", pattern_file, "--workers", "2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -435,14 +418,17 @@ class TestBudgetFlags:
         assert code == 0
         assert "Bob" in capsys.readouterr().out
 
-    def test_query_workers_with_budget(self, hub_graph_file, bomb_file, capsys):
+    def test_batch_workers_with_budget(self, hub_graph_file, bomb_file,
+                                       pattern_file, capsys):
         code = main([
-            "query", "--graph", hub_graph_file, "--pattern", bomb_file,
-            "--workers", "2", "--budget", "500", "--allow-partial",
+            "batch", "--graph", hub_graph_file, "--pattern", bomb_file,
+            "--pattern", pattern_file, "--workers", "2",
+            "--budget", "500", "--allow-partial",
         ])
         out = capsys.readouterr().out
         assert code == 1
-        assert "note: partial result" in out
+        assert "[partial: node-budget]" in out
+        assert "2 workers" in out
 
 
 class TestSnapshot:

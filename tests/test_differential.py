@@ -1,10 +1,10 @@
-"""Differential testing: parallel sharded evaluation ≡ sequential evaluation.
+"""Differential testing: parallel batch farming ≡ sequential evaluation.
 
 Every case generates a seeded random graph and a seeded random pattern,
-evaluates both sequentially and through the sharded
-:class:`~repro.engine.parallel.ParallelExecutor`, and requires the two
-relations to be *byte-identical* (set equality plus equal serialized
-forms).  The query-set evaluation literature (Brochier et al.,
+evaluates both sequentially and farmed to worker processes through
+:meth:`~repro.engine.parallel.ParallelExecutor.match_many`, and requires
+the two relations to be *byte-identical* (set equality plus equal
+serialized forms).  The query-set evaluation literature (Brochier et al.,
 arXiv:1806.10813) shows expert-finding results depend heavily on which
 queries you test with, so the harness sweeps many query shapes — chains,
 cycles, mixed bounds, ``*`` edges, edge-free patterns — not just the paper
@@ -14,9 +14,6 @@ Seeds are fixed and appear in the pytest parametrize id (and in every
 assertion message), so a failure names the exact case to replay:
 
     pytest tests/test_differential.py -k "seed17" -x
-
-One worker pool is shared by the whole module; forking per case would
-dominate runtime.
 """
 
 from __future__ import annotations
@@ -30,7 +27,9 @@ from repro.engine.parallel import ParallelExecutor
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
+from repro.graph.index import batch_candidates, predicate_key
 from repro.graph.oracle import DistanceOracle
+from repro.matching.base import MatchResult
 from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
@@ -43,8 +42,7 @@ ORACLE_SEEDS = range(40)
 
 @pytest.fixture(scope="module")
 def executor():
-    with ParallelExecutor(workers=2) as shared:
-        yield shared
+    return ParallelExecutor(workers=2)
 
 
 def random_case(seed: int, simulation_only: bool = False) -> tuple[Graph, Pattern]:
@@ -82,6 +80,16 @@ def sequential_result(graph: Graph, pattern: Pattern):
     return match_bounded(graph, pattern)
 
 
+def farmed_relations(executor, graph: Graph, pattern: Pattern) -> list:
+    """The pattern farmed twice (two tasks, so the pool really runs)."""
+    keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+    table = batch_candidates(graph, [pattern.predicate(u) for u in pattern.nodes()])
+    outcomes = executor.match_many(
+        graph, [(pattern, keys)] * 2, table, frozen=FrozenGraph.freeze(graph)
+    )
+    return [relation for relation, _stats in outcomes]
+
+
 def assert_identical(seed, parallel, sequential) -> None:
     __tracebackhide__ = True
     assert parallel.relation == sequential.relation, (
@@ -100,12 +108,8 @@ def assert_identical(seed, parallel, sequential) -> None:
 def test_parallel_equals_sequential_bounded(executor, seed):
     graph, pattern = random_case(seed)
     sequential = sequential_result(graph, pattern)
-    parallel = executor.match(graph, pattern)
-    assert_identical(seed, parallel, sequential)
-    # The merged state must also be internally consistent, not merely land
-    # on the right answer; this catches S/R/cnt merge bugs at their source.
-    if parallel._state is not None:
-        parallel._state.check_invariants()
+    for relation in farmed_relations(executor, graph, pattern):
+        assert_identical(seed, MatchResult(graph, pattern, relation), sequential)
 
 
 @pytest.mark.parametrize("seed", SIMULATION_SEEDS, ids=lambda s: f"seed{s}")
@@ -114,7 +118,7 @@ def test_parallel_equals_sequential_simulation(executor, seed):
 
     With every bound 1, bounded simulation's fixpoint coincides with plain
     simulation's, so all three evaluators must agree: the quadratic
-    matcher, the cubic matcher, and the sharded parallel path.
+    matcher, the cubic matcher, and the farmed parallel path.
     """
     graph, pattern = random_case(seed, simulation_only=True)
     via_simulation = match_simulation(graph, pattern)
@@ -122,22 +126,29 @@ def test_parallel_equals_sequential_simulation(executor, seed):
     assert via_bounded.relation == via_simulation.relation, (
         f"seed {seed}: bounded(all bounds=1) != plain simulation"
     )
-    parallel = executor.match(graph, pattern)
-    assert_identical(seed, parallel, via_simulation)
+    for relation in farmed_relations(executor, graph, pattern):
+        assert_identical(seed, MatchResult(graph, pattern, relation), via_simulation)
 
 
 @pytest.mark.parametrize("seed", ENGINE_SEEDS, ids=lambda s: f"seed{s}")
 def test_engine_workers_equals_sequential(seed):
-    """The engine's ``workers=N`` route produces the sequential relation."""
-    graph, pattern = random_case(seed)
+    """The engine's ``evaluate_many(workers=N)`` produces the sequential
+    relation for each query of the batch."""
+    graph, patterns = engine_case(seed)
     engine = QueryEngine()
     engine.register_graph("g", graph)
-    sequential = engine.evaluate("g", pattern, use_cache=False, cache_result=False)
-    parallel = engine.evaluate(
-        "g", pattern, use_cache=False, cache_result=False, workers=2
-    )
-    assert_identical(seed, parallel, sequential)
-    assert parallel.stats["parallel"]["workers"] == 2
+    kwargs = dict(use_cache=False, cache_result=False)
+    parallel = engine.evaluate_many("g", patterns, workers=2, **kwargs)
+    for pattern, farmed in zip(patterns, parallel):
+        assert_identical(seed, farmed, engine.evaluate("g", pattern, **kwargs))
+    assert parallel[0].stats["batch"]["workers"] == 2
+
+
+def engine_case(seed: int) -> tuple[Graph, list[Pattern]]:
+    """The seed's graph with its pattern and a second, distinct one."""
+    graph, pattern = random_case(seed)
+    _other_graph, other = random_case(seed + len(ENGINE_SEEDS))
+    return graph, [pattern, other]
 
 
 def test_engine_batch_workers_equals_sequential():
@@ -260,17 +271,17 @@ def test_guarded_equals_unguarded_simulation(seed):
 
 @pytest.mark.parametrize("seed", ENGINE_SEEDS, ids=lambda s: f"seed{s}")
 def test_engine_guarded_workers_equals_sequential(seed):
-    """Budget + sharded workers + generous limits = the sequential answer."""
-    graph, pattern = random_case(seed)
+    """Budget + batch workers + generous limits = the sequential answer."""
+    graph, patterns = engine_case(seed)
     engine = QueryEngine()
     engine.register_graph("g", graph)
     kwargs = dict(use_cache=False, cache_result=False)
-    sequential = engine.evaluate("g", pattern, **kwargs)
-    guarded = engine.evaluate(
-        "g", pattern, budget=generous_budget(), workers=2, **kwargs
+    guarded = engine.evaluate_many(
+        "g", patterns, budget=generous_budget(), workers=2, **kwargs
     )
-    assert_identical(seed, guarded, sequential)
-    assert not guarded.stats.get("partial")
+    for pattern, farmed in zip(patterns, guarded):
+        assert_identical(seed, farmed, engine.evaluate("g", pattern, **kwargs))
+        assert not farmed.stats.get("partial")
 
 
 def test_engine_batch_guarded_equals_unguarded():

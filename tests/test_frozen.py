@@ -32,14 +32,13 @@ from repro.graph.distance import (
     bounded_descendants,
     distance,
     eccentricity_within,
-    multi_source_descendants,
     weighted_distances,
     within_bound,
 )
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
-from repro.graph.partition import decompose as ball_decompose
 from repro.matching.bounded import frozen_successor_rows, match_bounded
+from repro.graph.index import predicate_key
 from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.builder import PatternBuilder
 from repro.ranking.topk import RankingContext
@@ -126,27 +125,6 @@ class TestFrozenGraph:
         assert FrozenGraph.freeze(second).matches(second)
         assert FrozenGraph.freeze(Graph()).matches(Graph())  # empty graphs
 
-    def test_induced_equals_dict_subgraph(self, fig1):
-        keep = ["Bob", "Dan", "Mat", "Eva"]
-        frozen = FrozenGraph.freeze(fig1)
-        induced = frozen.induced(keep, name="ball")
-        assert induced.to_graph() == fig1.subgraph(keep, name="ball")
-        bare = frozen.induced(keep, include_attrs=False)
-        assert bare.num_edges == induced.num_edges
-        assert bare.node_attrs("Bob") == {}
-
-    def test_induced_unknown_node_raises(self, fig1):
-        with pytest.raises(GraphError, match="unknown node"):
-            FrozenGraph.freeze(fig1).induced(["Ann", "nobody"])
-
-    def test_induced_repools_values(self, fig1):
-        """A sub-snapshot's value pool holds only values its nodes use."""
-        frozen = FrozenGraph.freeze(fig1)
-        induced = frozen.induced(["Bob"])
-        assert induced.node_attrs("Bob") == fig1.attrs("Bob")
-        assert len(induced._values) <= len(fig1.attrs("Bob"))
-        assert len(induced._values) < len(frozen._values)
-
     def test_without_attrs_shares_buffers(self, fig1):
         frozen = FrozenGraph.freeze(fig1)
         bare = frozen.without_attrs()
@@ -211,15 +189,11 @@ class TestFrozenDistance:
             )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_multi_source_and_scalar_helpers(self, seed):
+    def test_scalar_helpers_match_dict_path(self, seed):
         graph = random_digraph(25, 70, seed=seed)
         frozen = FrozenGraph.freeze(graph)
         rng = random.Random(seed)
         sources = rng.sample(list(graph.nodes()), 6)
-        for bound in (1, 2, None):
-            assert multi_source_descendants(
-                frozen, sources, bound
-            ) == multi_source_descendants(graph, sources, bound)
         for node in sources:
             assert distance(frozen, sources[0], node) == distance(
                 graph, sources[0], node
@@ -341,29 +315,10 @@ class TestFrozenMatchers:
             refine_simulation(
                 fig1, simple, simulation_candidates(fig1, simple), frozen=frozen
             )
-        with pytest.raises(GraphError, match="stale frozen snapshot"):
-            ball_decompose(
-                fig1, fig1_query, simulation_candidates(fig1, fig1_query), 2,
-                frozen=frozen,
+        with pytest.raises(EvaluationError, match="stale frozen snapshot"):
+            ParallelExecutor(workers=1).match_many(
+                fig1, [_batch_task(fig1_query)], {}, frozen=frozen
             )
-        with ParallelExecutor(workers=1) as executor:
-            with pytest.raises(EvaluationError, match="stale frozen snapshot"):
-                executor.match(fig1, fig1_query, frozen=frozen)
-
-
-class TestFrozenPartition:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_decompose_matches_dict_path(self, seed):
-        graph, pattern = random_case(seed)
-        frozen = FrozenGraph.freeze(graph)
-        candidates = simulation_candidates(graph, pattern)
-        plain = ball_decompose(graph, pattern, dict(candidates), 3)
-        accelerated = ball_decompose(graph, pattern, dict(candidates), 3, frozen=frozen)
-        assert len(accelerated) == len(plain), f"seed {seed}"
-        for mine, theirs in zip(accelerated, plain):
-            assert mine.pivots == theirs.pivots
-            assert mine.depths == theirs.depths
-            assert mine.nodes == theirs.nodes
 
 
 # ----------------------------------------------------------------------
@@ -499,12 +454,12 @@ class TestSnapshotCache:
         # ...and explain agrees with what evaluate actually did.
         plan = engine.explain("g", fig1_query)
         assert any("frozen snapshot: bypassed" in r for r in plan.reasons)
-        # Sharded evaluation has no reach index in its workers, so it
-        # snapshots even here — exactly what the note promises.
-        parallel = engine.evaluate(
-            "g", fig1_query, use_cache=False, cache_result=False, workers=2
+        # Batch workers have no reach index, so farming snapshots even here.
+        parallel = engine.evaluate_many(
+            "g", [fig1_query, deep_pattern(1)], use_cache=False,
+            cache_result=False, workers=2,
         )
-        assert parallel.relation == result.relation
+        assert parallel[0].relation == result.relation
         assert engine.snapshot_stats()["builds"] == 1
 
     def test_explain_reports_snapshot_state(self, fig1, fig1_query):
@@ -523,55 +478,45 @@ class TestSnapshotCache:
 
 
 # ----------------------------------------------------------------------
-# frozen shard shipping (workers > 0)
+# frozen snapshot shipping to batch workers (workers > 1)
 # ----------------------------------------------------------------------
+
+def _batch_task(pattern):
+    """A match_many task: the pattern and its nodes' candidate-table keys."""
+    return (pattern, {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()})
+
 
 class TestFrozenShipping:
     @pytest.mark.parametrize("seed", range(8))
     def test_executor_matches_sequential(self, seed):
         graph, pattern = random_case(seed)
         sequential = match_bounded(graph, pattern)
-        with ParallelExecutor(workers=2) as executor:
-            parallel = executor.match(graph, pattern)
-        assert parallel.relation == sequential.relation, f"seed {seed}"
-        assert parallel.relation.to_dict() == sequential.relation.to_dict()
-
-    def test_shard_payloads_are_frozen_buffers(self, fig1, fig1_query):
-        """Materialized shards ship frozen sub-snapshots, never dict graphs."""
-        frozen = FrozenGraph.freeze(fig1)
-        candidates = simulation_candidates(fig1, fig1_query)
-        shards = ball_decompose(fig1, fig1_query, candidates, 2, frozen=frozen)
-        shared_arrays = ParallelExecutor._candidate_arrays(
-            frozen.ids(), candidates, fig1_query, shards
+        candidates = simulation_candidates(graph, pattern)
+        task = _batch_task(pattern)
+        table = {task[1][u]: candidates[u] for u in pattern.nodes()}
+        outcomes = ParallelExecutor(workers=2).match_many(
+            graph, [task, task], table, frozen=FrozenGraph.freeze(graph)
         )
-        for shard in shards:
-            payload = ParallelExecutor._shard_payload(
-                frozen, fig1_query, shard, candidates, True, None
-            )
-            ball, edges_spec, pivot_ids, candidate_arrays, oracle_slice = payload
-            assert oracle_slice is None  # no oracle was passed
-            assert isinstance(ball, FrozenGraph)
-            assert set(ball.nodes()) == set(shard.nodes)
-            assert ball.node_attrs(next(iter(shard.nodes))) == {}  # attrs stay home
-            assert set(edges_spec) == set(shard.pivots)
-            for u, pivots in shard.pivots.items():
-                assert tuple(ball.labels[i] for i in pivot_ids[u]) == pivots
-            shared = ParallelExecutor._shard_payload(
-                frozen, fig1_query, shard, candidates, False, shared_arrays
-            )
-            assert shared[0] is None  # the full snapshot is process-shared
-            for u, arr in shared[3].items():
-                assert arr is shared_arrays[u]  # built once, shared by shards
+        for relation, _stats in outcomes:
+            assert relation == sequential.relation, f"seed {seed}"
+            assert relation.to_dict() == sequential.relation.to_dict()
 
     def test_engine_workers_with_warm_snapshot(self, fig1, fig1_query):
         engine = QueryEngine()
         engine.register_graph("g", fig1)
         sequential = engine.evaluate("g", fig1_query, use_cache=False,
                                      cache_result=False)
-        parallel = engine.evaluate(
-            "g", fig1_query, use_cache=False, cache_result=False, workers=2
+        pair = (
+            PatternBuilder("pair")
+            .node("SA", 'field == "SA"')
+            .node("SD", 'field == "SD"')
+            .edge("SA", "SD", 2)
+            .build()
         )
-        assert parallel.relation == sequential.relation
+        parallel = engine.evaluate_many(
+            "g", [fig1_query, pair], use_cache=False, cache_result=False, workers=2
+        )
+        assert parallel[0].relation == sequential.relation
         assert engine.snapshot_stats()["builds"] == 1  # one snapshot fed both
 
 

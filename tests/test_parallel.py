@@ -2,7 +2,7 @@
 
 The exhaustive parallel-vs-sequential equivalence lives in
 tests/test_differential.py; this module covers the machinery itself:
-worker validation, pool lifecycle, stats, engine routing, and the facade.
+worker validation, inline execution, stats, engine routing, and the facade.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from repro.engine.engine import QueryEngine
 from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.errors import EvaluationError
 from repro.expfinder import ExpFinder
-from repro.matching.bounded import BoundedState, match_bounded
-from repro.matching.simulation import simulation_candidates
+from repro.matching.bounded import match_bounded
+from repro.graph.index import predicate_key
+from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.builder import PatternBuilder
 
 
@@ -32,115 +33,40 @@ class TestValidateWorkers:
             validate_workers(workers)
 
 
+def _batch_task(graph, pattern):
+    """One match_many task plus its candidate table."""
+    candidates = simulation_candidates(graph, pattern)
+    keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+    table = {keys[u]: candidates[u] for u in pattern.nodes()}
+    return (pattern, keys), table
+
+
 class TestExecutor:
-    def test_match_parity_and_stats(self, fig1, fig1_query):
-        sequential = match_bounded(fig1, fig1_query)
-        with ParallelExecutor(workers=2) as executor:
-            parallel = executor.match(fig1, fig1_query)
-        assert parallel.relation == sequential.relation
-        info = parallel.stats["parallel"]
-        assert info["mode"] == "sharded-query"
-        assert info["workers"] == 2
-        assert info["shards"] == 2
-        assert parallel.stats["algorithm"] == "bounded-simulation"
-        assert parallel.stats["candidate_source"] == "scan"
-
-    def test_result_carries_state(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(fig1, fig1_query)
-        assert isinstance(result._state, BoundedState)
-        result._state.check_invariants()
-        assert result.result_graph().num_nodes > 0
-
-    def test_single_worker_runs_inline(self, fig1, fig1_query):
+    def test_single_worker_runs_inline(self, fig1, fig1_query, monkeypatch):
         executor = ParallelExecutor(workers=1)
-        result = executor.match(fig1, fig1_query)
-        assert executor._pool is None  # no processes were forked
-        assert result.relation == match_bounded(fig1, fig1_query).relation
 
-    @pytest.fixture
-    def selective_case(self):
-        """A graph whose candidate balls cover a small fraction of it.
+        def no_pool(**_kwargs):
+            raise AssertionError("workers=1 must not create a pool")
 
-        Two tiny chains match; a sea of filler nodes does not, so the
-        decomposition ships induced ball subgraphs instead of sharing the
-        whole graph.
-        """
-        from repro.graph.digraph import Graph
-
-        graph = Graph(name="selective")
-        for index in range(40):
-            graph.add_node(f"filler{index}", label="F")
-        for which in ("1", "2"):
-            graph.add_node(f"s{which}", label="S")
-            graph.add_node(f"t{which}", label="T")
-            graph.add_edge(f"s{which}", f"t{which}")
-        pattern = (
-            PatternBuilder("chain")
-            .node("S", 'label == "S"')
-            .node("T", 'label == "T"')
-            .edge("S", "T", 1)
-            .build()
-        )
-        return graph, pattern
-
-    def test_selective_balls_ship_subgraphs(self, selective_case):
-        graph, pattern = selective_case
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(graph, pattern)
-        assert result.stats["parallel"]["shipping"] == "ball-subgraphs"
-        assert sorted(result.relation.matches_of("S")) == ["s1", "s2"]
-
-    def test_broad_balls_share_the_graph(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(fig1, fig1_query)
-        assert result.stats["parallel"]["shipping"] == "shared-graph"
-
-    def test_close_is_idempotent(self, selective_case):
-        graph, pattern = selective_case
-        executor = ParallelExecutor(workers=2)
-        executor.match(graph, pattern)
-        assert executor._pool is not None
-        executor.close()
-        executor.close()
-        assert executor._pool is None
-
-    def test_pool_reused_across_matches(self, selective_case):
-        graph, pattern = selective_case
-        with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern)
-            pool = executor._pool
-            executor.match(graph, pattern)
-            assert executor._pool is pool
+        monkeypatch.setattr(executor, "_pool", no_pool)
+        task, table = _batch_task(fig1, fig1_query)
+        outcomes = executor.match_many(fig1, [task, task], table)
+        expected = match_bounded(fig1, fig1_query).relation
+        assert [relation for relation, _stats in outcomes] == [expected] * 2
 
     def test_bad_workers_rejected_at_construction(self):
         with pytest.raises(EvaluationError, match="positive integer"):
             ParallelExecutor(workers=0)
 
-    def test_num_shards_override(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(fig1, fig1_query, num_shards=4)
-        assert result.stats["parallel"]["shards"] == 4
-        assert result.relation == match_bounded(fig1, fig1_query).relation
-
     def test_match_many_parity(self, fig1, fig1_query):
-        from repro.graph.index import predicate_key
-
-        candidates = simulation_candidates(fig1, fig1_query)
-        keys = {
-            u: predicate_key(fig1_query.predicate(u)) for u in fig1_query.nodes()
-        }
-        table = {keys[u]: candidates[u] for u in fig1_query.nodes()}
-        tasks = [(fig1_query, keys)] * 3
-        with ParallelExecutor(workers=2) as executor:
-            outcomes = executor.match_many(fig1, tasks, table)
+        task, table = _batch_task(fig1, fig1_query)
+        outcomes = ParallelExecutor(workers=2).match_many(fig1, [task] * 3, table)
         expected = match_bounded(fig1, fig1_query).relation
         assert [relation for relation, _stats in outcomes] == [expected] * 3
         assert all(stats["algorithm"] == "bounded-simulation" for _r, stats in outcomes)
 
     def test_match_many_empty(self, fig1):
-        with ParallelExecutor(workers=2) as executor:
-            assert executor.match_many(fig1, [], {}) == []
+        assert ParallelExecutor(workers=2).match_many(fig1, [], {}) == []
 
     def test_simulation_pattern_same_relation(self, diamond):
         pattern = (
@@ -150,12 +76,11 @@ class TestExecutor:
             .edge("A", "B", 1)
             .build()
         )
-        from repro.matching.simulation import match_simulation
-
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(diamond, pattern)
-        assert result.relation == match_simulation(diamond, pattern).relation
-        assert result.stats["algorithm"] == "simulation"
+        task, table = _batch_task(diamond, pattern)
+        outcomes = ParallelExecutor(workers=2).match_many(diamond, [task] * 2, table)
+        expected = match_simulation(diamond, pattern).relation
+        assert [relation for relation, _stats in outcomes] == [expected] * 2
+        assert all(stats["algorithm"] == "simulation" for _r, stats in outcomes)
 
 
 class TestEngineWorkers:
@@ -165,40 +90,39 @@ class TestEngineWorkers:
         engine.register_graph("fig1", fig1)
         return engine
 
-    def test_direct_route_parity(self, engine, fig1_query):
-        sequential = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False
+    @pytest.fixture
+    def pair_query(self):
+        return (
+            PatternBuilder("pair")
+            .node("SA", 'field == "SA"', output=True)
+            .node("SD", 'field == "SD"')
+            .edge("SA", "SD", 2)
+            .build()
         )
-        parallel = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert parallel.relation == sequential.relation
-        assert parallel.stats["route"] == "direct"
-        assert parallel.stats["parallel"]["workers"] == 2
 
-    def test_parallel_result_is_cached(self, engine, fig1_query):
-        engine.evaluate("fig1", fig1_query, workers=2)
-        again = engine.evaluate("fig1", fig1_query, workers=2)
+    def test_parallel_result_is_cached(self, engine, fig1_query, pair_query):
+        engine.evaluate_many("fig1", [fig1_query, pair_query], workers=2)
+        again = engine.evaluate("fig1", fig1_query)
         assert again.stats["route"] == "cache"
-        assert "parallel" not in again.stats
 
     def test_unknown_graph_still_names_registered_graphs(self, engine, fig1_query):
         with pytest.raises(EvaluationError, match="registered: fig1"):
-            engine.evaluate("nope", fig1_query, workers=2)
+            engine.evaluate_many("nope", [fig1_query], workers=2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_workers_raise_before_evaluating(self, engine, fig1_query, workers):
         with pytest.raises(EvaluationError, match="positive integer"):
-            engine.evaluate("fig1", fig1_query, workers=workers)
-        with pytest.raises(EvaluationError, match="positive integer"):
             engine.evaluate_many("fig1", [fig1_query], workers=workers)
+        with pytest.raises(EvaluationError, match="positive integer"):
+            engine.top_k("fig1", fig1_query, 2, workers=workers)
 
-    def test_compressed_route_ignores_workers(self, engine, fig1_query):
+    def test_compressed_route_ignores_workers(self, engine, fig1_query, pair_query):
         engine.compress_graph("fig1", ["field", "specialty", "experience"])
-        result = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False, workers=2
+        results = engine.evaluate_many(
+            "fig1", [fig1_query, pair_query], use_cache=False, cache_result=False,
+            workers=2,
         )
-        assert result.stats["route"] == "compressed"
+        assert results[0].stats["route"] == "compressed"
         sequential = engine.evaluate(
             "fig1",
             fig1_query,
@@ -206,7 +130,7 @@ class TestEngineWorkers:
             use_compression=False,
             cache_result=False,
         )
-        assert result.relation == sequential.relation
+        assert results[0].relation == sequential.relation
 
     def test_batch_workers_parity_and_dedup(self, engine, fig1_query):
         patterns = [fig1_query, fig1_query, fig1_query]
@@ -220,45 +144,28 @@ class TestEngineWorkers:
         assert results[1].stats["route"] == "cache"
         assert results[0].stats["batch"]["workers"] == 2
 
-    def test_single_query_batch_uses_sharded_parallelism(self, engine, fig1_query):
+    def test_single_query_batch_runs_inline(self, engine, fig1_query, monkeypatch):
+        from repro.engine import parallel
+
+        def no_pool(self, **_kwargs):
+            raise AssertionError("a one-query batch must not create a pool")
+
+        monkeypatch.setattr(parallel.ParallelExecutor, "_pool", no_pool)
         results = engine.evaluate_many(
             "fig1", [fig1_query], use_cache=False, cache_result=False, workers=2
         )
-        assert results[0].stats["parallel"]["mode"] == "sharded-query"
-        # The evaluate_many contract holds on the delegated path too: every
-        # result carries batch stats (the CLI reads them unconditionally).
+        expected = match_bounded(engine.graph("fig1"), fig1_query).relation
+        assert results[0].relation == expected
+        assert results[0]._state is not None  # nothing crossed a process border
         batch_info = results[0].stats["batch"]
         assert batch_info["size"] == 1
         assert batch_info["workers"] == 2
         assert batch_info["distinct_predicates"] == 4
 
-    def test_engine_reuses_one_executor_per_worker_count(self, engine, fig1_query):
-        engine.evaluate("fig1", fig1_query, use_cache=False, cache_result=False,
-                        workers=2)
-        first = engine._executors[2]
-        engine.evaluate("fig1", fig1_query, use_cache=False, cache_result=False,
-                        workers=2)
-        assert engine._executors[2] is first
-        engine.close()
-        assert engine._executors == {}
-        engine.close()  # idempotent
-        # ...and the engine keeps working after close()
-        result = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert result.is_match
-
-    def test_farmed_result_graph_recomputes(self, engine, fig1_query):
-        second = (
-            PatternBuilder("pair")
-            .node("SA", 'field == "SA"', output=True)
-            .node("SD", 'field == "SD"')
-            .edge("SA", "SD", 2)
-            .build()
-        )
+    def test_farmed_result_graph_recomputes(self, engine, fig1_query, pair_query):
         results = engine.evaluate_many(
             "fig1",
-            [fig1_query, second],
+            [fig1_query, pair_query],
             use_cache=False,
             cache_result=False,
             workers=2,
@@ -273,179 +180,8 @@ class TestFacadeWorkers:
         finder = ExpFinder()
         finder.add_graph("g", fig1)
         sequential = finder.match("g", fig1_query, use_cache=False, cache_result=False)
-        parallel = finder.match(
-            "g", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert parallel.relation == sequential.relation
         many = finder.match_many(
             "g", [fig1_query, fig1_query], use_cache=False, cache_result=False,
             workers=2,
         )
         assert [r.relation for r in many] == [sequential.relation] * 2
-
-
-class TestPoolChurn:
-    """Guarded calls without a wall-clock limit must reuse the persistent
-    pool — pool construction stays off the steady-state serving path."""
-
-    @pytest.fixture
-    def selective_case(self):
-        from repro.graph.digraph import Graph
-
-        graph = Graph(name="selective")
-        for index in range(40):
-            graph.add_node(f"filler{index}", label="F")
-        for which in ("1", "2"):
-            graph.add_node(f"s{which}", label="S")
-            graph.add_node(f"t{which}", label="T")
-            graph.add_edge(f"s{which}", f"t{which}")
-        pattern = (
-            PatternBuilder("chain")
-            .node("S", 'label == "S"')
-            .node("T", 'label == "T"')
-            .edge("S", "T", 1)
-            .build()
-        )
-        return graph, pattern
-
-    def test_node_budget_calls_share_one_pool(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-
-        graph, pattern = selective_case
-        budget = QueryBudget(node_visits=100_000, allow_partial=True)
-        sequential = match_bounded(graph, pattern, budget=budget)
-        with ParallelExecutor(workers=2) as executor:
-            for _ in range(3):
-                result = executor.match(graph, pattern, budget=budget)
-                assert result.relation == sequential.relation
-                assert not result.stats["partial"]
-                assert result.stats["visits"] > 0
-            # The regression this guards: three guarded calls used to fork
-            # three dedicated pools; now they share the persistent one.
-            assert executor.pools_created == 1
-
-    def test_time_limited_calls_use_dedicated_pools(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-
-        graph, pattern = selective_case
-        timed = QueryBudget(node_visits=100_000, seconds=30.0, allow_partial=True)
-        with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern, budget=timed)
-            first = executor.pools_created
-            executor.match(graph, pattern, budget=timed)
-            # A wall-clock limit may need mid-flight termination, which
-            # would destroy a shared pool — each call pays its own.
-            assert executor.pools_created == first + 1
-
-    def test_persistent_pool_survives_guarded_use(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-
-        graph, pattern = selective_case
-        budget = QueryBudget(node_visits=100_000, allow_partial=True)
-        with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern)  # unguarded sharded call
-            pool = executor._pool
-            executor.match(graph, pattern, budget=budget)
-            assert executor._pool is pool
-            executor.match(graph, pattern)
-            assert executor._pool is pool
-
-    def test_warm_builds_pool_before_first_call(self, selective_case):
-        graph, pattern = selective_case
-        with ParallelExecutor(workers=2) as executor:
-            assert executor._pool is None
-            executor.warm()
-            assert executor._pool is not None
-            assert executor.pools_created == 1
-            executor.match(graph, pattern)
-            assert executor.pools_created == 1
-        # workers=1 has nothing to warm (inline evaluation)
-        inline = ParallelExecutor(workers=1).warm()
-        assert inline._pool is None
-
-    def test_blown_budget_raises_from_persistent_pool(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-        from repro.errors import BudgetExceededError
-
-        graph, pattern = selective_case
-        strict = QueryBudget(node_visits=1, allow_partial=False)
-        with ParallelExecutor(workers=2) as executor:
-            with pytest.raises(BudgetExceededError):
-                executor.match(graph, pattern, budget=strict)
-            # ...and the pool remains usable afterwards
-            result = executor.match(graph, pattern)
-            assert sorted(result.relation.matches_of("S")) == ["s1", "s2"]
-
-    def test_partial_degrades_on_persistent_pool(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-
-        graph, pattern = selective_case
-        tiny = QueryBudget(node_visits=1, allow_partial=True)
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(graph, pattern, budget=tiny)
-        assert result.stats["partial"]
-        assert result.stats["guard"]
-
-    def test_guarded_worker_entry_inline(self, selective_case):
-        """Drive the persistent-pool worker function in-process.
-
-        The real pool runs it in forked children (invisible to coverage);
-        calling it inline proves the task tuple round-trips: shipped
-        snapshot resolution, guard construction around the installed
-        counter, and the shard kernel.
-        """
-        import multiprocessing
-
-        from repro.engine import parallel as par
-        from repro.engine.estimator import QueryBudget
-        from repro.graph.frozen import FrozenGraph
-        from repro.matching.simulation import simulation_candidates
-
-        graph, pattern = selective_case
-        frozen = FrozenGraph.freeze(graph)
-        candidates = simulation_candidates(graph, pattern)
-        from repro.graph.partition import decompose as ball_decompose
-
-        shards = ball_decompose(graph, pattern, candidates, 2, frozen=frozen)
-        payload = ParallelExecutor._shard_payload(
-            frozen, pattern, shards[0], candidates, True, None
-        )
-        counter = multiprocessing.get_context().Value("q", 0)
-        par._init_persistent_worker(counter)
-        try:
-            budget = QueryBudget(node_visits=100_000, allow_partial=True)
-            rows, info = par._shard_rows_guarded(
-                (payload, frozen.without_attrs(), None, budget)
-            )
-            assert counter.value > 0
-            assert info["visits"] == counter.value
-            assert rows
-        finally:
-            par._init_persistent_worker(None)
-
-    def test_load_memo_bounded(self, tmp_path):
-        """Worker-side snapshot memo caps its slots instead of growing."""
-        from repro.engine import parallel as par
-        from repro.engine.storage import write_frozen_file
-        from repro.graph.digraph import Graph
-        from repro.graph.frozen import FrozenGraph
-
-        graph = Graph(name="memo")
-        graph.add_node("a", label="A")
-        frozen = FrozenGraph.freeze(graph)
-        paths = []
-        for index in range(par._PERSISTENT_LOAD_SLOTS + 1):
-            path = tmp_path / f"m{index}.frozen.snap"
-            write_frozen_file(path, frozen)
-            paths.append(path)
-        par._persistent_loads.clear()
-        try:
-            for path in paths:
-                resolved, _ = par._resolve_persistent(path, None)
-                assert resolved.num_nodes == 1
-            assert len(par._persistent_loads) <= par._PERSISTENT_LOAD_SLOTS
-            # A memo hit returns the same object, no reload
-            again, _ = par._resolve_persistent(paths[-1], None)
-            assert again is resolved
-        finally:
-            par._persistent_loads.clear()

@@ -12,9 +12,10 @@ through the guarded paths and asserts the three promises
 * a partial result is a **sound subset**: every pair it reports is in the
   exact relation, verified against unguarded evaluation on small twins of
   each bomb;
-* sequential and sharded-parallel guarded runs **agree on the partial
-  flag** (one shared budget governs the whole fan-out), and with a
-  generous budget both are byte-identical to the unguarded answer.
+* sequential and batch-farmed guarded runs **agree on the partial flag**
+  (a budget applies per query, in the calling process and in pool
+  workers alike), and with a generous budget both are byte-identical to
+  the unguarded answer.
 """
 
 from __future__ import annotations
@@ -163,34 +164,39 @@ def test_time_limit_trips_and_reports():
 def test_sequential_and_parallel_agree_on_partial(case_id, big, _small):
     """One budget, any worker count: the partial flag is a query property.
 
-    The node budget is shared across shard workers through a cross-process
-    counter, so a bomb trips it sharded exactly as it does sequentially —
-    and with a generous budget both paths return the identical exact
+    A batch budget applies per query, in the calling process and in pool
+    workers alike, so a farmed bomb trips exactly as it does sequentially
+    — and with a generous budget both paths return the identical exact
     relation with ``partial=False``.
     """
     graph = big()
-    pattern = wildcard_cycle()
+    patterns = [wildcard_cycle(3), wildcard_cycle(2)]
     engine = QueryEngine()
     engine.register_graph("g", graph)
     kwargs = dict(use_cache=False, cache_result=False)
 
-    sequential = engine.evaluate("g", pattern, budget=TIGHT, **kwargs)
-    parallel = engine.evaluate("g", pattern, budget=TIGHT, workers=2, **kwargs)
-    assert sequential.stats["partial"] is True, (case_id, sequential.stats)
-    assert parallel.stats["partial"] is True, (case_id, parallel.stats)
-
-    relaxed_seq = engine.evaluate("g", pattern, budget=GENEROUS, **kwargs)
-    relaxed_par = engine.evaluate(
-        "g", pattern, budget=GENEROUS, workers=2, **kwargs
+    sequential = engine.evaluate_many("g", patterns, budget=TIGHT, **kwargs)
+    parallel = engine.evaluate_many(
+        "g", patterns, budget=TIGHT, workers=2, **kwargs
     )
-    unguarded = engine.evaluate("g", pattern, **kwargs)
-    for label, result in (("sequential", relaxed_seq), ("parallel", relaxed_par)):
-        assert result.stats["partial"] is False, (case_id, label, result.stats)
-        assert result.relation == unguarded.relation, (case_id, label)
-        assert result.relation.to_dict() == unguarded.relation.to_dict(), (
-            case_id,
-            label,
-        )
+    for seq, par in zip(sequential, parallel):
+        assert seq.stats["partial"] is True, (case_id, seq.stats)
+        assert par.stats["partial"] is True, (case_id, par.stats)
+        assert par.relation == seq.relation, case_id
+
+    relaxed_seq = engine.evaluate_many("g", patterns, budget=GENEROUS, **kwargs)
+    relaxed_par = engine.evaluate_many(
+        "g", patterns, budget=GENEROUS, workers=2, **kwargs
+    )
+    unguarded = engine.evaluate_many("g", patterns, **kwargs)
+    for label, results in (("sequential", relaxed_seq), ("parallel", relaxed_par)):
+        for result, exact in zip(results, unguarded):
+            assert result.stats["partial"] is False, (case_id, label, result.stats)
+            assert result.relation == exact.relation, (case_id, label)
+            assert result.relation.to_dict() == exact.relation.to_dict(), (
+                case_id,
+                label,
+            )
 
 
 def test_partial_results_are_never_cached():
@@ -217,36 +223,40 @@ def test_partial_results_are_never_cached():
     assert cached.relation == exact.relation
 
 
-def test_parallel_time_limit_aborts_in_flight_shards():
-    """The wall-clock guard cancels pool workers instead of waiting them out."""
+def test_parallel_time_limit_trips_in_each_worker():
+    """A farmed bomb's wall-clock guard stops it inside its pool worker."""
     graph = hub_graph(400)
-    pattern = wildcard_cycle()
     engine = QueryEngine()
     engine.register_graph("g", graph)
     budget = QueryBudget(seconds=1e-4, allow_partial=True)
-    result = engine.evaluate(
-        "g", pattern, budget=budget, workers=2, use_cache=False,
-        cache_result=False,
+    results = engine.evaluate_many(
+        "g", [wildcard_cycle(3), wildcard_cycle(2)], budget=budget, workers=2,
+        use_cache=False, cache_result=False,
     )
-    assert result.stats["partial"] is True
-    assert result.stats["guard"] == GUARD_TIME_LIMIT
+    for result in results:
+        assert result.stats["partial"] is True
+        assert result.stats["guard"] == GUARD_TIME_LIMIT
 
 
 def test_simulation_patterns_are_never_guarded():
     """Guards cover the bounded matcher only; all-bounds-1 queries run the
     quadratic simulation matcher, which cannot bomb — and must not report
-    guard stats (sequential and parallel modes agree by construction)."""
+    guard stats (sequential and farmed modes agree by construction)."""
     graph = hub_graph(200)
-    pattern = Pattern("unit")
-    pattern.add_node("A", None)
-    pattern.add_node("B", None)
-    pattern.add_edge("A", "B", 1)
+    patterns = []
+    for condition in (None, "experience >= 5"):
+        pattern = Pattern("unit")
+        pattern.add_node("A", condition)
+        pattern.add_node("B", None)
+        pattern.add_edge("A", "B", 1)
+        patterns.append(pattern)
     engine = QueryEngine()
     engine.register_graph("g", graph)
     tight = QueryBudget(node_visits=1, allow_partial=True)
     kwargs = dict(use_cache=False, cache_result=False)
-    sequential = engine.evaluate("g", pattern, budget=tight, **kwargs)
-    parallel = engine.evaluate("g", pattern, budget=tight, workers=2, **kwargs)
-    for result in (sequential, parallel):
-        assert "partial" not in result.stats or not result.stats["partial"]
-    assert sequential.relation == parallel.relation
+    sequential = engine.evaluate_many("g", patterns, budget=tight, **kwargs)
+    parallel = engine.evaluate_many("g", patterns, budget=tight, workers=2, **kwargs)
+    for seq, par in zip(sequential, parallel):
+        for result in (seq, par):
+            assert "partial" not in result.stats or not result.stats["partial"]
+        assert seq.relation == par.relation

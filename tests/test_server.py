@@ -604,8 +604,20 @@ class TestServiceFacade:
     def test_topk_validates_k(self, service):
         reply = service.topk("fig1", {"pattern": SIM_PATTERN, "k": 2})
         assert [row["node"] for row in reply["experts"]]
-        with pytest.raises(ServerError, match="k must be"):
+        with pytest.raises(ReproError, match="k must be"):
             service.topk("fig1", {"pattern": SIM_PATTERN, "k": 0})
+
+    @pytest.mark.parametrize("k", [True, 0, -1, 2.0, "3"])
+    def test_bad_k_is_rejected_before_admission(self, service, k):
+        """``k`` is checked before the request takes a slot or evaluates."""
+        before = service.registry.stats()["caches"]["fig1"]
+        admitted = service.admission.stats()["admitted"]
+        with pytest.raises(ReproError, match="k must be a positive integer") as info:
+            service.topk("fig1", {"pattern": SIM_PATTERN, "k": k})
+        assert error_status(info.value) == 400
+        after = service.registry.stats()["caches"]["fig1"]
+        assert after == before  # neither the query nor the rank cache was probed
+        assert service.admission.stats()["admitted"] == admitted
 
     def test_update_then_evaluate_sees_new_epoch(self, service):
         service.update_graph(
@@ -620,8 +632,6 @@ class TestServiceFacade:
         assert plan["graph"] == "fig1"
         assert service.health() == {"status": "ok", "graphs": ["fig1"]}
         stats = service.stats()
-        assert stats["workers"] == 1
-        assert "pools_created" not in stats
         assert stats["requests"]["register"] == 1
         assert stats["admission"]["max_inflight"] == 8
 
@@ -639,46 +649,8 @@ class TestServiceFacade:
 
     def test_config_validation(self):
         with pytest.raises(ReproError):
-            ServiceConfig(workers=0).validated()
+            ServiceConfig(max_inflight=0).validated()
         with pytest.raises(ReproError):
             ServiceConfig(
                 default_budget=QueryBudget(node_visits=-1)
             ).validated()
-
-
-class TestServiceExecutorRouting:
-    """``workers > 1`` must actually serve evaluation from the warm pool
-    (not spawn idle processes), with relations identical to inline."""
-
-    def test_workers_route_evaluation_through_warm_pool(self):
-        with ExpFinderService(ServiceConfig(workers=2)) as parallel_svc, \
-                ExpFinderService(ServiceConfig(workers=1)) as inline_svc:
-            for svc in (parallel_svc, inline_svc):
-                svc.register_graph("fig1", paper_graph())
-            for pattern in (SIM_PATTERN, BOUNDED_PATTERN):
-                sharded = parallel_svc.evaluate("fig1", {"pattern": pattern})
-                inline = inline_svc.evaluate("fig1", {"pattern": pattern})
-                # the fan-out is visible in the stats...
-                assert sharded["stats"]["parallel"]["workers"] == 2
-                assert sharded["stats"]["parallel"]["mode"] == "sharded-query"
-                # ...and the relation is identical to the inline kernels
-                assert sharded["relation"] == inline["relation"]
-            # steady-state serving never builds a pool on the request path
-            assert parallel_svc.stats()["pools_created"] == 1
-
-    def test_workers_route_batch_and_topk(self):
-        with ExpFinderService(ServiceConfig(workers=2)) as svc:
-            svc.register_graph("fig1", paper_graph())
-            reply = svc.batch("fig1", {"patterns": [BOUNDED_PATTERN, SIM_PATTERN]})
-            assert reply["results"][0]["stats"]["parallel"]["workers"] == 2
-            ranked = svc.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
-            assert [row["node"] for row in ranked["experts"]]
-            assert svc.stats()["pools_created"] == 1
-
-    def test_cached_repeat_skips_the_pool(self):
-        with ExpFinderService(ServiceConfig(workers=2)) as svc:
-            svc.register_graph("fig1", paper_graph())
-            first = svc.evaluate("fig1", {"pattern": SIM_PATTERN})
-            again = svc.evaluate("fig1", {"pattern": SIM_PATTERN})
-            assert again["stats"]["route"] == "cache"
-            assert again["relation"] == first["relation"]

@@ -252,6 +252,33 @@ class TestErrorMapping:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.putrequest("POST", "/graphs/fig1/evaluate")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert payload["error"] == "ServerError"
+            assert "Content-Length" in payload["message"]
+        finally:
+            conn.close()
+
+    def test_boolean_k_is_400_without_a_cache_lookup(self, client):
+        _, before = client.get("/stats")
+        status, payload = client.post(
+            "/graphs/fig1/topk", {"pattern": PATTERN, "k": True}
+        )
+        assert status == 400
+        assert "k must be a positive integer" in payload["message"]
+        _, after = client.get("/stats")
+        assert after["registry"]["caches"] == before["registry"]["caches"]
+        assert after["admission"]["admitted"] == before["admission"]["admitted"]
+
     def test_register_needs_graph_or_preload(self, client):
         status, payload = client.post("/graphs", {"name": "x"})
         assert status == 400
@@ -335,7 +362,7 @@ class TestConcurrency:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        service = ExpFinderService(ServiceConfig(workers=1))
+        service = ExpFinderService(ServiceConfig())
         server = QueryServer(service)
         server.start()
         server.close()

@@ -551,52 +551,48 @@ class TestSpawnShipping:
             store.load_oracle("team", expected_version=fig1.version),
         )
 
-    def test_shared_snapshot_match(self, fig1, fig1_query, served):
-        loaded_frozen, loaded_oracle = served
-        expected = match_bounded(fig1, fig1_query).relation
-        with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            result = executor.match(
-                fig1, fig1_query, frozen=loaded_frozen, oracle=loaded_oracle
-            )
-        assert result.stats["parallel"]["shipping"] == "shared-graph"
-        assert result.relation == expected
-
-    def test_guarded_match(self, fig1, fig1_query, served):
-        loaded_frozen, loaded_oracle = served
-        expected = match_bounded(fig1, fig1_query).relation
-        budget = QueryBudget(node_visits=1_000_000)
-        with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            result = executor.match(
-                fig1, fig1_query,
-                frozen=loaded_frozen, oracle=loaded_oracle, budget=budget,
-            )
-        assert result.relation == expected
-        assert result.stats["partial"] is False
-
-    def test_match_many(self, fig1, fig1_query, served):
+    @staticmethod
+    def _tasks(fig1, fig1_query):
         from repro.graph.index import predicate_key
 
-        loaded_frozen, loaded_oracle = served
         candidates = simulation_candidates(fig1, fig1_query)
         keys = {
             u: predicate_key(fig1_query.predicate(u)) for u in fig1_query.nodes()
         }
         table = {keys[u]: candidates[u] for u in fig1_query.nodes()}
-        tasks = [(fig1_query, keys)] * 3
+        return [(fig1_query, keys)] * 3, table
+
+    def test_guarded_match(self, fig1, fig1_query, served):
+        loaded_frozen, loaded_oracle = served
+        tasks, table = self._tasks(fig1, fig1_query)
         expected = match_bounded(fig1, fig1_query).relation
-        with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            outcomes = executor.match_many(
-                fig1, tasks, table, frozen=loaded_frozen, oracle=loaded_oracle
-            )
+        budget = QueryBudget(node_visits=1_000_000)
+        outcomes = ParallelExecutor(workers=2, start_method="spawn").match_many(
+            fig1, tasks, table,
+            frozen=loaded_frozen, oracle=loaded_oracle, budget=budget,
+        )
+        for relation, stats in outcomes:
+            assert relation == expected
+            assert stats["partial"] is False
+
+    def test_match_many(self, fig1, fig1_query, served):
+        loaded_frozen, loaded_oracle = served
+        tasks, table = self._tasks(fig1, fig1_query)
+        expected = match_bounded(fig1, fig1_query).relation
+        outcomes = ParallelExecutor(workers=2, start_method="spawn").match_many(
+            fig1, tasks, table, frozen=loaded_frozen, oracle=loaded_oracle
+        )
         assert [relation for relation, _stats in outcomes] == [expected] * 3
 
     def test_in_process_snapshot_still_ships(self, fig1, fig1_query, frozen):
         # No backing file: the snapshot pickles as attribute-less buffers.
         assert frozen.path is None
+        tasks, table = self._tasks(fig1, fig1_query)
         expected = match_bounded(fig1, fig1_query).relation
-        with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            result = executor.match(fig1, fig1_query, frozen=frozen)
-        assert result.relation == expected
+        outcomes = ParallelExecutor(workers=2, start_method="spawn").match_many(
+            fig1, tasks, table, frozen=frozen
+        )
+        assert [relation for relation, _stats in outcomes] == [expected] * 3
 
     def test_shipment_round_trip(self, frozen, served):
         # The worker-side inverse maps shipped paths back to live objects.
